@@ -6,100 +6,11 @@ points (with grid oracles to cross-check them); experiments runs seeded SIR
 sweeps with Monte Carlo fading; cli is the command-line front end.
 """
 
-from .experiments import (
-    SweepConfig,
-    SweepRecord,
-    metric_f,
-    metric_fnj,
-    sample_channels,
-    sir_points,
-    sir_sweep,
-    write_csv,
-)
-from .model import (
-    TAU_LIMIT,
-    ChannelGains,
-    JammerRegime,
-    LegitStrategy,
-    NeutralizationInfeasible,
-    StrategyProfile,
-    SystemParams,
-    capacity,
-    db_to_linear,
-    harvested_power,
-    jammer_best_response,
-    k_constant,
-    linear_to_db,
-    neutralization_feasible,
-    p_threshold,
-    p_threshold_inverse,
-    profile_capacity,
-)
-from .solvers import (
-    BracketError,
-    EquilibriumResult,
-    FixedPower,
-    OnThreshold,
-    RootSolveReport,
-    SolutionRegime,
-    TauOptimum,
-    capacity_tau_derivative,
-    find_root_bracketed,
-    ne_grid_optimum,
-    nj_grid_value,
-    solve_ne,
-    solve_nj,
-    tau_hat,
-    tau_profile_capacity,
-    tau_star,
-    tau_tilde,
-    verify_saddle_point,
-)
+from . import experiments, model, solvers
+from .experiments import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .solvers import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BracketError",
-    "ChannelGains",
-    "EquilibriumResult",
-    "FixedPower",
-    "JammerRegime",
-    "LegitStrategy",
-    "NeutralizationInfeasible",
-    "OnThreshold",
-    "RootSolveReport",
-    "SolutionRegime",
-    "StrategyProfile",
-    "SweepConfig",
-    "SweepRecord",
-    "SystemParams",
-    "TAU_LIMIT",
-    "TauOptimum",
-    "capacity",
-    "capacity_tau_derivative",
-    "db_to_linear",
-    "find_root_bracketed",
-    "harvested_power",
-    "jammer_best_response",
-    "k_constant",
-    "linear_to_db",
-    "metric_f",
-    "metric_fnj",
-    "ne_grid_optimum",
-    "neutralization_feasible",
-    "nj_grid_value",
-    "p_threshold",
-    "p_threshold_inverse",
-    "profile_capacity",
-    "sample_channels",
-    "sir_points",
-    "sir_sweep",
-    "solve_ne",
-    "solve_nj",
-    "tau_hat",
-    "tau_profile_capacity",
-    "tau_star",
-    "tau_tilde",
-    "verify_saddle_point",
-    "write_csv",
-]
+__all__ = [*model.__all__, *solvers.__all__, *experiments.__all__]

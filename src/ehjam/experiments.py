@@ -18,22 +18,14 @@ from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
 from .model import (
-    TAU_LIMIT,
     ChannelGains,
     SystemParams,
     capacity,
     db_to_linear,
     linear_to_db,
+    neutralization_feasible,
 )
-from .solvers import (
-    BRACKET_HI,
-    BRACKET_LO,
-    FixedPower,
-    _profile_coefficients,
-    _tau_derivative,
-    solve_ne,
-    solve_nj,
-)
+from .solvers import solve_ne_arrays, solve_nj_arrays
 
 __all__ = [
     "SweepConfig",
@@ -61,11 +53,6 @@ _CSV_COLUMNS = (
     "f_ratio_mean",
     "f_nj_ratio_mean",
 )
-
-# Fixed bisection depth: halves the (BRACKET_LO, BRACKET_HI) interval down to
-# under ROOT_TOL, matching the scalar solver's trajectory exactly.
-_BISECT_ITERS = 44
-
 
 def _gain_block(seed: int, start: int, count: int) -> np.ndarray:
     """(count, 3) squared standard-normal gains for draws start..start+count-1.
@@ -126,8 +113,8 @@ class SweepConfig:
 
     The jamming budget gamma_max is held fixed; the transmit budget at each
     point is P = gamma_max * 10**(sir_db/10). params.p_max is ignored (it is
-    re-derived per point). fixed_gains switches from Monte Carlo averaging to
-    a single deterministic channel.
+    re-derived per point). fixed_gains replaces the mc_draws random channels
+    by that one channel: the Monte Carlo sweep with a single draw.
     """
 
     sir_start_db: float
@@ -177,77 +164,6 @@ def sir_points(config: SweepConfig) -> list[float]:
     return [config.sir_start_db + i * config.sir_step_db for i in range(n)]
 
 
-def _bisect_tau(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Vectorized bisection for the derivative root; assumes the derivative is
-    positive at BRACKET_LO and negative at BRACKET_HI for every element."""
-    lo = np.full(alpha.shape, BRACKET_LO)
-    hi = np.full(alpha.shape, BRACKET_HI)
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        pos = _tau_derivative(mid, alpha, beta) > 0.0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def _optimal_tau(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Maximizer of the canonical concave profile per element (0 when the
-    derivative starts nonpositive)."""
-    tau = np.zeros_like(alpha)
-    rising = _tau_derivative(BRACKET_LO, alpha, beta) > 0.0
-    if np.any(rising):
-        tau[rising] = _bisect_tau(alpha[rising], beta[rising])
-    return tau
-
-
-def _solve_ne_batch(gains: ChannelGains, params: SystemParams):
-    """(tau, capacity) of the full-power operating point per channel draw."""
-    alpha, beta = _profile_coefficients(
-        FixedPower(params.p_max, params.gamma_max), gains, params)
-    tau = _optimal_tau(np.asarray(alpha, float), np.asarray(beta, float))
-    return tau, capacity(params.p_max, tau, params.gamma_max, gains, params)
-
-
-def _solve_nj_batch(gains: ChannelGains, params: SystemParams):
-    """(capacity, feasible) of the neutralizing optimum per channel draw."""
-    h2 = np.asarray(gains.h2, float)
-    ga2 = np.asarray(gains.ga2, float)
-    gb2 = np.asarray(gains.gb2, float)
-    p_max = params.p_max
-    feasible = ga2 * params.n_b > gb2 * params.n_a
-    gb2_safe = np.where(gb2 > 0.0, gb2, 1.0)
-    k = np.where(gb2 > 0.0,
-                 (ga2 * params.n_b / gb2_safe - params.n_a) * params.zeta,
-                 np.inf)
-    k_pos = np.where(k > 0.0, k, 1.0)
-    with np.errstate(divide="ignore"):
-        p_inv = np.where(k > 0.0, p_max / k_pos, np.inf)
-    # threshold-riding profile optimum (only meaningful where feasible, gb2>0)
-    tau_hat = _optimal_tau(np.zeros_like(h2),
-                           params.zeta * ga2 * h2 / gb2_safe)
-    # full-power silent-jammer optimum
-    alpha0, beta0 = _profile_coefficients(FixedPower(p_max, 0.0), gains, params)
-    tau_tilde = _optimal_tau(np.asarray(alpha0, float), np.asarray(beta0, float))
-
-    case_a = p_inv > 1.0
-    k_finite = np.isfinite(k)
-    # slope used in products: zero wherever it is not a positive finite number
-    # (those entries are masked out or routed through the p_max branch below)
-    k_safe = np.where(k_finite & (k > 0.0), k, 0.0)
-    p_a = np.where(case_a, tau_hat * k_safe, 0.0)
-    v_a = capacity(p_a, np.where(case_a, tau_hat, 0.0), 0.0, gains, params)
-
-    tau1 = np.minimum(tau_hat, p_inv)
-    p1 = np.minimum(np.where(k_finite, tau1 * k_safe, p_max), p_max)
-    tau2 = np.minimum(np.maximum(tau_tilde, p_inv), TAU_LIMIT)
-    v1 = capacity(p1, tau1, 0.0, gains, params)
-    v2 = capacity(p_max, tau2, 0.0, gains, params)
-    v_b = np.maximum(v1, v2)
-
-    value = np.where(feasible, np.where(case_a, v_a, v_b), 0.0)
-    return value, feasible
-
-
 def _mean(values) -> float:
     arr = np.asarray(values, dtype=float)
     return math.fsum(arr) / arr.size
@@ -272,37 +188,26 @@ def _make_record(sir_db, c_ne, c_nj, c_no_eh, nj_frac, tau_ne) -> SweepRecord:
 def sir_sweep(config: SweepConfig) -> list[SweepRecord]:
     """One SweepRecord per SIR point, ascending.
 
-    Fixed gains solve each point once; Monte Carlo mode draws mc_draws
-    channels (indices 0..mc_draws-1 under rng_seed, shared by all SIR points)
-    and averages the capacities before taking the efficiency ratios.
+    Monte Carlo mode draws mc_draws channels (indices 0..mc_draws-1 under
+    rng_seed, shared by all SIR points) and averages the capacities before
+    taking the efficiency ratios; fixed gains are the one-draw case.
     """
-    points = sir_points(config)
-    records = []
     if config.fixed_gains is not None:
-        gains = config.fixed_gains
-        for sir_db in points:
-            p_max = config.params.gamma_max * db_to_linear(sir_db)
-            params = replace(config.params, p_max=p_max)
-            ne = solve_ne(gains, params)
-            nj = solve_nj(gains, params)
-            c_no_eh = capacity(p_max, 0.0, params.gamma_max, gains, params)
-            records.append(_make_record(
-                sir_db, [ne.value], [nj.value], [c_no_eh],
-                1.0 if nj.feasible else 0.0, [ne.profile.legit.tau],
-            ))
-        return records
-    block = _gain_block(config.rng_seed, 0, config.mc_draws)
+        g = config.fixed_gains
+        block = np.array([[g.h2, g.ga2, g.gb2]], dtype=float)
+    else:
+        block = _gain_block(config.rng_seed, 0, config.mc_draws)
     gains = ChannelGains(block[:, 0], block[:, 1], block[:, 2])
-    for sir_db in points:
+    draws = len(block)
+    nj_frac = np.count_nonzero(neutralization_feasible(gains, config.params)) / draws
+    records = []
+    for sir_db in sir_points(config):
         p_max = config.params.gamma_max * db_to_linear(sir_db)
         params = replace(config.params, p_max=p_max)
-        tau_ne, c_ne = _solve_ne_batch(gains, params)
-        c_nj, feasible = _solve_nj_batch(gains, params)
+        ne = solve_ne_arrays(gains, params)
+        nj = solve_nj_arrays(gains, params)
         c_no_eh = capacity(p_max, 0.0, params.gamma_max, gains, params)
-        records.append(_make_record(
-            sir_db, c_ne, c_nj, c_no_eh,
-            float(np.count_nonzero(feasible)) / config.mc_draws, tau_ne,
-        ))
+        records.append(_make_record(sir_db, ne.value, nj.value, c_no_eh, nj_frac, ne.tau))
     return records
 
 

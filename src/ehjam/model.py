@@ -31,6 +31,7 @@ __all__ = [
     "db_to_linear",
     "harvested_power",
     "jammer_best_response",
+    "jamming_sign",
     "k_constant",
     "linear_to_db",
     "neutralization_feasible",
@@ -190,24 +191,26 @@ def profile_capacity(profile: StrategyProfile, gains: ChannelGains, params: Syst
     return capacity(profile.legit.p, profile.legit.tau, profile.gamma, gains, params)
 
 
-def k_constant(gains: ChannelGains, params: SystemParams) -> float:
+def k_constant(gains: ChannelGains, params: SystemParams):
     """Slope (mW per unit tau) of the neutralization power threshold.
 
     ``K = (ga2*n_b/gb2 - n_a) * zeta``. Positive exactly when harvesting
     beats interference (and zeta > 0); zero or negative means the threshold
     never opens up. gb2 == 0 with zeta > 0 returns ``math.inf``: the jammer
     cannot hurt the receiver at all, so no finite power exceeds the threshold.
+    Elementwise over gain arrays.
     """
-    if params.zeta == 0.0:
-        return 0.0
-    if gains.gb2 == 0.0:
-        return math.inf
-    return (gains.ga2 * params.n_b / gains.gb2 - params.n_a) * params.zeta
+    gb2 = np.asarray(gains.gb2, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = (gains.ga2 * params.n_b / gb2 - params.n_a) * params.zeta
+    k = np.where(params.zeta == 0.0, 0.0, np.where(gb2 == 0.0, math.inf, k))
+    return float(k) if k.ndim == 0 else k
 
 
-def neutralization_feasible(gains: ChannelGains, params: SystemParams) -> bool:
+def neutralization_feasible(gains: ChannelGains, params: SystemParams):
     """True when the harvesting link is strictly better than the jamming link,
-    i.e. ga2/n_a > gb2/n_b. Equivalent to k_constant > 0 whenever zeta > 0."""
+    i.e. ga2/n_a > gb2/n_b. Equivalent to k_constant > 0 whenever zeta > 0.
+    Elementwise over gain arrays."""
     return gains.ga2 * params.n_b > gains.gb2 * params.n_a
 
 
@@ -242,25 +245,37 @@ def p_threshold_inverse(p, gains: ChannelGains, params: SystemParams) -> float:
     return p / k
 
 
+def jamming_sign(p, tau, gains: ChannelGains, params: SystemParams):
+    """The jammer's preference at a fixed legitimate strategy, elementwise:
+    +1 where capacity increases in gamma (the jammer stays silent), -1 where
+    it decreases (full power), 0 where it is flat.
+
+    The sign of dC/dgamma is gamma-independent and given by
+    ``tau*zeta*ga2*n_b - (p + tau*zeta*n_a)*gb2``, which equals
+    gb2*(tau*K - p) when the threshold slope K is finite and has the sign of
+    tau*zeta*ga2 when gb2 == 0. Links that cannot be neutralized read -1
+    throughout, flat cases included.
+    """
+    with np.errstate(invalid="ignore"):
+        slope = np.where(np.asarray(gains.gb2) == 0.0,
+                         tau * params.zeta * gains.ga2,
+                         tau * k_constant(gains, params) - p)
+    sign = np.where(neutralization_feasible(gains, params), np.sign(slope), -1.0)
+    return float(sign) if sign.ndim == 0 else sign
+
+
 def jammer_best_response(p, tau, gains: ChannelGains, params: SystemParams):
     """Capacity-minimizing jamming power for a fixed legitimate strategy.
 
-    Capacity is monotone in gamma with a gamma-independent sign given by
-    ``tau*zeta*ga2*n_b - (p + tau*zeta*n_a)*gb2`` (equal to gb2*(p_th(tau)-p)
-    when the threshold slope is finite). Increasing capacity means the jammer
-    prefers silence; decreasing means full power; exactly flat is reported as
-    a tie with gamma = 0.
+    Capacity is monotone in gamma with the sign given by jamming_sign.
+    Increasing capacity means the jammer prefers silence; decreasing means
+    full power; exactly flat is reported as a tie with gamma = 0.
     """
     if not (0.0 <= p <= params.p_max):
         raise ValueError("p must lie in [0, p_max]")
     if not 0.0 <= tau < 1.0:
         raise ValueError("tau must lie in [0, 1)")
-    if not neutralization_feasible(gains, params):
-        return params.gamma_max, JammerRegime.FULL_POWER_OPTIMAL
-    if gains.gb2 == 0.0:
-        sign = tau * params.zeta * gains.ga2
-    else:
-        sign = p_threshold(tau, gains, params) - p
+    sign = jamming_sign(p, tau, gains, params)
     if sign > 0.0:
         return 0.0, JammerRegime.SILENT_OPTIMAL
     if sign < 0.0:

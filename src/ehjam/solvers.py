@@ -4,8 +4,12 @@ independent brute-force grid oracles used to cross-check them.
 Every one-dimensional profile handled here reduces to the same family
 ``C(tau) = (1-tau)/2 * log2(1 + (alpha + beta*tau)/(1-tau))`` whose second
 derivative is ``-(alpha+beta)^2 / (2 ln2 (1-tau) D^2) <= 0``: the profiles
-are concave in tau, so a single sign change of the first derivative locates
-the maximizer and bisection is enough.
+are concave in tau, and the stationary point has a closed form in the
+Lambert W function (Corless et al., "On the Lambert W function", 1996), so
+no root finding is needed.
+
+One array core per operating point (solve_ne_arrays, solve_nj_arrays) works
+elementwise over gain arrays; the scalar solvers are its 0-d case.
 """
 
 from __future__ import annotations
@@ -13,44 +17,42 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Union
+from typing import NamedTuple, Union
 
 import numpy as np
+from scipy.special import lambertw
 
 from .model import (
     TAU_LIMIT,
     ChannelGains,
-    JammerRegime,
     LegitStrategy,
     NeutralizationInfeasible,
     StrategyProfile,
     SystemParams,
     capacity,
-    jammer_best_response,
+    jamming_sign,
     k_constant,
     neutralization_feasible,
-    p_threshold,
     profile_capacity,
 )
 
 __all__ = [
-    "BRACKET_HI",
-    "BRACKET_LO",
-    "BracketError",
     "EquilibriumResult",
     "FixedPower",
+    "NEArrays",
+    "NJArrays",
+    "NJ_REGIMES",
     "OnThreshold",
-    "ROOT_TOL",
-    "RootSolveReport",
     "SolutionRegime",
     "TauOptimum",
     "TauProfile",
     "capacity_tau_derivative",
-    "find_root_bracketed",
     "ne_grid_optimum",
     "nj_grid_value",
     "solve_ne",
+    "solve_ne_arrays",
     "solve_nj",
+    "solve_nj_arrays",
     "tau_hat",
     "tau_profile_capacity",
     "tau_star",
@@ -60,19 +62,12 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-#: Ends of the derivative sign scan; roots are bracketed inside (0, 1).
-BRACKET_LO = 1e-6
-BRACKET_HI = 1.0 - 1e-6
+#: The optimal EH fraction is 0 wherever the profile derivative is <= 0 here.
+_TAU_PROBE = 1e-6
 
-#: Bisection interval tolerance. Tight enough that the derivative residual at
-#: the returned root stays below 1e-10 for slopes up to ~1e3.
-ROOT_TOL = 1e-13
-
-_MAX_ITER = 200
-
-
-class BracketError(ValueError):
-    """f(lo) and f(hi) do not straddle zero."""
+#: Below this beta the branch-point series for the optimal SNR term is exact
+#: to rounding, while W0((beta-1)/e) has lost about half its digits.
+_SERIES_BETA = 1e-6
 
 
 @dataclass(frozen=True)
@@ -91,6 +86,12 @@ class OnThreshold:
 TauProfile = Union[FixedPower, OnThreshold]
 
 
+def _threshold_beta(gains: ChannelGains, params: SystemParams):
+    """beta of the threshold-riding profile (alpha is 0); inf or nan where gb2 == 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return params.zeta * gains.ga2 * gains.h2 / np.asarray(gains.gb2, dtype=float)
+
+
 def _profile_coefficients(profile: TauProfile, gains: ChannelGains, params: SystemParams):
     """Reduce a tau-profile to the (alpha, beta) pair of the canonical family."""
     if isinstance(profile, FixedPower):
@@ -105,7 +106,7 @@ def _profile_coefficients(profile: TauProfile, gains: ChannelGains, params: Syst
             )
         if np.any(np.asarray(gains.gb2) == 0.0):
             raise ValueError("threshold profile is undefined when gb2 == 0")
-        return 0.0, params.zeta * gains.ga2 * gains.h2 / gains.gb2
+        return 0.0, _threshold_beta(gains, params)
     raise TypeError(f"unknown tau-profile: {profile!r}")
 
 
@@ -114,6 +115,36 @@ def _tau_derivative(tau, alpha, beta):
     x = (alpha + beta * tau) / (1.0 - tau)
     d = (1.0 - tau) + alpha + beta * tau
     return (-np.log1p(x) + (alpha + beta) / d) / (2.0 * _LN2)
+
+
+def _optimal_tau(alpha, beta):
+    """Maximizer over [0, TAU_LIMIT] of the canonical profile, elementwise.
+
+    The SNR term s = (alpha + beta*tau)/(1 - tau) at the stationary point
+    solves g(s) = (1+s)*log1p(s) - s = beta, so 1+s = exp(1 + W0((beta-1)/e))
+    and 1 - tau = (alpha+beta)/(s+beta). W0 is sqrt(eps)-conditioned at its
+    branch point (beta -> 0), so tiny beta take the series s = q + q^2/6 -
+    q^3/72 + q^4/270 in q = sqrt(2*beta) instead; the W0 start gets one Newton
+    step on the s-equation. The profile is concave, so clipping the stationary
+    point to TAU_LIMIT gives the exact maximizer over [0, TAU_LIMIT].
+
+    The derivative at any tau equals (beta - g(x))/(2 ln2 (1+x)), x the SNR
+    term there, and g increases, so its sign at _TAU_PROBE is that of s - x:
+    comparing the two avoids the cancellation of evaluating the derivative,
+    which loses the sign once beta is below ~eps*alpha.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.expm1(1.0 + lambertw((beta - 1.0) / math.e).real)
+        log1p_s = np.log1p(s)
+        s = s - ((1.0 + s) * log1p_s - s - beta) / log1p_s
+        q = np.sqrt(2.0 * beta)
+        series = q * (1.0 + q * (1.0 / 6.0 + q * (-1.0 / 72.0 + q / 270.0)))
+        s = np.where(beta < _SERIES_BETA, series, s)
+        tau = 1.0 - (alpha + beta) / (s + beta)
+    rising = s > (alpha + beta * _TAU_PROBE) / (1.0 - _TAU_PROBE)
+    return np.where(rising, np.clip(tau, 0.0, TAU_LIMIT), 0.0)
 
 
 def capacity_tau_derivative(profile: TauProfile, tau, gains: ChannelGains,
@@ -137,81 +168,18 @@ def tau_profile_capacity(profile: TauProfile, tau, gains: ChannelGains,
 
 
 @dataclass(frozen=True)
-class RootSolveReport:
-    """Outcome of a bracketed scalar root search."""
-
-    root: float
-    residual: float
-    iterations: int
-    bracket: tuple[float, float]
-
-
-def find_root_bracketed(f: Callable[[float], float], lo: float, hi: float,
-                        tol: float = ROOT_TOL) -> RootSolveReport:
-    """Bisect a sign change of f on [lo, hi] down to an interval of width tol.
-
-    The root stays bracketed throughout; the reported root is the midpoint of
-    the final interval. Raises BracketError when f(lo) and f(hi) share a sign.
-    """
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return RootSolveReport(lo, 0.0, 0, (lo, hi))
-    if fhi == 0.0:
-        return RootSolveReport(hi, 0.0, 0, (lo, hi))
-    if (flo > 0.0) == (fhi > 0.0):
-        raise BracketError(f"no sign change on [{lo}, {hi}]")
-    a, b, fa = lo, hi, flo
-    iterations = 0
-    while b - a > tol and iterations < _MAX_ITER:
-        mid = 0.5 * (a + b)
-        if not a < mid < b:  # float resolution floor
-            break
-        fm = f(mid)
-        iterations += 1
-        if fm == 0.0:
-            a = b = mid
-            break
-        if (fm > 0.0) == (fa > 0.0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    root = 0.5 * (a + b)
-    return RootSolveReport(root, abs(f(root)), iterations, (lo, hi))
-
-
-@dataclass(frozen=True)
 class TauOptimum:
-    """Maximizer of a concave tau-profile.
-
-    boundary is True when the derivative kept one sign over the scan bracket
-    and an endpoint won by direct value comparison (ties prefer tau = 0);
-    report carries the root search details otherwise.
-    """
+    """Maximizer of a concave tau-profile over [0, TAU_LIMIT]; boundary is
+    True when it sits on an end of that interval."""
 
     tau: float
     boundary: bool
-    report: RootSolveReport | None
 
 
 def _maximize_profile(profile: TauProfile, gains: ChannelGains,
                       params: SystemParams) -> TauOptimum:
-    def deriv(t):
-        return capacity_tau_derivative(profile, t, gains, params)
-
-    if deriv(BRACKET_LO) <= 0.0:
-        # concave and already nonincreasing: the maximum sits at tau = 0
-        return TauOptimum(0.0, True, None)
-    if deriv(BRACKET_HI) > 0.0:
-        v_lo = tau_profile_capacity(profile, 0.0, gains, params)
-        v_hi = tau_profile_capacity(profile, TAU_LIMIT, gains, params)
-        return TauOptimum(0.0 if v_lo >= v_hi else TAU_LIMIT, True, None)
-    report = find_root_bracketed(deriv, BRACKET_LO, BRACKET_HI)
-    return TauOptimum(report.root, False, report)
+    tau = float(_optimal_tau(*_profile_coefficients(profile, gains, params)))
+    return TauOptimum(tau, tau in (0.0, TAU_LIMIT))
 
 
 def tau_hat(gains: ChannelGains, params: SystemParams) -> TauOptimum:
@@ -242,6 +210,15 @@ class SolutionRegime(Enum):
     NE_TAU_INTERIOR = "NE-tau-interior"
 
 
+#: Regimes of the neutralizing optimum, indexed by NJArrays.regime.
+NJ_REGIMES = (
+    SolutionRegime.NJ_INFEASIBLE,
+    SolutionRegime.NJ_CASE_A,
+    SolutionRegime.NJ_CASE_B_CANDIDATE1,
+    SolutionRegime.NJ_CASE_B_CANDIDATE2,
+)
+
+
 @dataclass(frozen=True)
 class EquilibriumResult:
     """A solved operating point.
@@ -257,68 +234,89 @@ class EquilibriumResult:
     feasible: bool
 
 
-def _tau_reaching_power(tau: float, k: float, p: float) -> float:
-    """Nudge tau up by ulps until tau*k >= p (rounding guard at the corner)."""
-    while tau * k < p and tau < TAU_LIMIT:
-        tau = math.nextafter(tau, 1.0)
-    return min(tau, TAU_LIMIT)
+class NEArrays(NamedTuple):
+    """Full-power operating points, one element per channel."""
+
+    tau: np.ndarray
+    value: np.ndarray
+    stable: np.ndarray  # full-power jamming is a best response to (P, tau)
+
+
+class NJArrays(NamedTuple):
+    """Neutralizing optima, one element per channel (the jammer is silent)."""
+
+    p: np.ndarray
+    tau: np.ndarray
+    value: np.ndarray
+    regime: np.ndarray  # index into NJ_REGIMES
+
+
+def solve_ne_arrays(gains: ChannelGains, params: SystemParams) -> NEArrays:
+    """Full-power operating point elementwise over gain arrays (0-d for scalar
+    gains): both sides spend their budgets and tau maximizes capacity under
+    full-power jamming."""
+    profile = FixedPower(params.p_max, params.gamma_max)
+    tau = _optimal_tau(*_profile_coefficients(profile, gains, params))
+    value = capacity(params.p_max, tau, params.gamma_max, gains, params)
+    stable = jamming_sign(params.p_max, tau, gains, params) <= 0.0
+    return NEArrays(tau, value, stable)
+
+
+def solve_nj_arrays(gains: ChannelGains, params: SystemParams) -> NJArrays:
+    """Neutralizing optimum elementwise over gain arrays (0-d for scalar gains).
+
+    Infeasible harvesting links get value 0 with an all-zero strategy. With a
+    finite threshold slope K the optimum either rides the threshold (case a,
+    active when P/K > 1; independent of P) or is the better of two corner
+    candidates (case b): 1, the threshold optimum clipped at P/K; 2, full
+    power at the silent-jammer optimum tau raised to at least P/K, nudged by
+    ulps until tau*K >= P. Ties pick candidate 1. With gb2 == 0 every strategy neutralizes, and the candidates
+    are full power at tau = 0 and at the silent-jammer optimum.
+    """
+    p_max = params.p_max
+    feasible = np.asarray(neutralization_feasible(gains, params))
+    unbounded = np.asarray(gains.gb2) == 0.0
+    # threshold slope, finite and >= 0: K < 0 only where infeasible (masked out)
+    k = np.where(unbounded, 0.0, np.maximum(k_constant(gains, params), 0.0))
+    with np.errstate(divide="ignore"):
+        p_inv = np.where(unbounded, 0.0, np.where(k > 0.0, p_max / k, math.inf))
+    case_a = p_inv > 1.0
+    t_hat = _optimal_tau(0.0, np.where(unbounded, 0.0, _threshold_beta(gains, params)))
+    t_tilde = _optimal_tau(*_profile_coefficients(FixedPower(p_max, 0.0), gains, params))
+
+    # in case a candidate 1 is the threshold optimum itself: tau_hat*K < K < P
+    tau1 = np.minimum(t_hat, p_inv)
+    p1 = np.where(unbounded, p_max, np.minimum(tau1 * k, p_max))
+    tau2 = np.minimum(np.maximum(t_tilde, p_inv), TAU_LIMIT)
+    short = ~unbounded & (tau2 * k < p_max) & (tau2 < TAU_LIMIT)
+    while np.any(short):
+        tau2 = np.where(short, np.nextafter(tau2, 1.0), tau2)
+        short = short & (tau2 * k < p_max) & (tau2 < TAU_LIMIT)
+    v1 = capacity(p1, tau1, 0.0, gains, params)
+    v2 = capacity(p_max, tau2, 0.0, gains, params)
+
+    first = case_a | (v1 >= v2)
+    regime = np.select([~feasible, case_a, first], [0, 1, 2], 3)
+    return NJArrays(
+        p=np.where(feasible, np.where(first, p1, p_max), 0.0),
+        tau=np.where(feasible, np.where(first, tau1, tau2), 0.0),
+        value=np.where(feasible, np.where(first, v1, v2), 0.0),
+        regime=regime,
+    )
 
 
 def solve_nj(gains: ChannelGains, params: SystemParams) -> EquilibriumResult:
-    """Best capacity achievable while keeping the jammer's best response silent.
-
-    Infeasible harvesting links get value 0 with an all-zero profile. With a
-    finite threshold slope K the optimum either rides the threshold (case a,
-    active when P/K > 1; independent of P) or is the better of the two corner
-    candidates (case b): the clipped threshold optimum and full power with
-    enough harvesting time. Ties prefer the threshold-riding candidate. With
-    an unbounded threshold (gb2 == 0) every strategy neutralizes and the
-    problem degenerates to the best response to a silent jammer.
-    """
-    if not neutralization_feasible(gains, params):
-        prof = StrategyProfile(LegitStrategy(0.0, 0.0), 0.0)
-        return EquilibriumResult(
-            prof, capacity(0.0, 0.0, 0.0, gains, params),
-            SolutionRegime.NJ_INFEASIBLE, False,
-        )
-    k = k_constant(gains, params)
-    p_max = params.p_max
-    if math.isinf(k):
-        tld = tau_tilde(gains, params)
-        candidates = [
-            (p_max, 0.0, SolutionRegime.NJ_CASE_B_CANDIDATE1),
-            (p_max, tld.tau, SolutionRegime.NJ_CASE_B_CANDIDATE2),
-        ]
-    else:
-        p_inv = math.inf if k <= 0.0 else p_max / k
-        hat = tau_hat(gains, params)
-        if p_inv > 1.0:
-            tau_a = hat.tau
-            p_a = p_threshold(tau_a, gains, params)
-            prof = StrategyProfile(LegitStrategy(p_a, tau_a), 0.0)
-            return EquilibriumResult(
-                prof, capacity(p_a, tau_a, 0.0, gains, params),
-                SolutionRegime.NJ_CASE_A, True,
-            )
-        tld = tau_tilde(gains, params)
-        tau1 = min(hat.tau, p_inv)
-        p1 = min(p_threshold(tau1, gains, params), p_max)
-        tau2 = _tau_reaching_power(min(max(tld.tau, p_inv), TAU_LIMIT), k, p_max)
-        candidates = [
-            (p1, tau1, SolutionRegime.NJ_CASE_B_CANDIDATE1),
-            (p_max, tau2, SolutionRegime.NJ_CASE_B_CANDIDATE2),
-        ]
-    (p1, t1, r1), (p2, t2, r2) = candidates
-    v1 = capacity(p1, t1, 0.0, gains, params)
-    v2 = capacity(p2, t2, 0.0, gains, params)
-    p, tau, regime, value = (p1, t1, r1, v1) if v1 >= v2 else (p2, t2, r2, v2)
-    prof = StrategyProfile(LegitStrategy(p, tau), 0.0)
-    return EquilibriumResult(prof, value, regime, True)
+    """Best capacity achievable while keeping the jammer's best response
+    silent: the 0-d case of solve_nj_arrays."""
+    p, tau, value, code = solve_nj_arrays(gains, params)
+    regime = NJ_REGIMES[int(code)]
+    prof = StrategyProfile(LegitStrategy(float(p), float(tau)), 0.0)
+    return EquilibriumResult(prof, float(value), regime,
+                             regime is not SolutionRegime.NJ_INFEASIBLE)
 
 
 def solve_ne(gains: ChannelGains, params: SystemParams) -> EquilibriumResult:
-    """Full-power operating point: both sides spend their whole budget and the
-    EH fraction maximizes capacity under full-power jamming.
+    """Full-power operating point: the 0-d case of solve_ne_arrays.
 
     feasible reports whether full-power jamming is a best response to the
     returned legitimate strategy, i.e. whether the profile is mutually stable.
@@ -326,14 +324,11 @@ def solve_ne(gains: ChannelGains, params: SystemParams) -> EquilibriumResult:
     silent than feed the harvester; the profile is still returned, flagged
     infeasible, and verify_saddle_point will show the jammer-side deviation.
     """
-    star = tau_star(gains, params)
-    tau = star.tau
-    value = capacity(params.p_max, tau, params.gamma_max, gains, params)
-    _, regime = jammer_best_response(params.p_max, tau, gains, params)
-    feasible = regime is not JammerRegime.SILENT_OPTIMAL
+    tau, value, stable = solve_ne_arrays(gains, params)
+    tau = float(tau)
     tag = SolutionRegime.NE_TAU_ZERO if tau == 0.0 else SolutionRegime.NE_TAU_INTERIOR
     prof = StrategyProfile(LegitStrategy(params.p_max, tau), params.gamma_max)
-    return EquilibriumResult(prof, value, tag, feasible)
+    return EquilibriumResult(prof, float(value), tag, bool(stable))
 
 
 def verify_saddle_point(profile: StrategyProfile, gains: ChannelGains,

@@ -49,6 +49,19 @@ def test_nj_feasible_output(capsys):
     assert vals["gamma_mw"] == "0"
 
 
+def test_nj_zero_efficiency_interference_free_jammer(capsys, tmp_path):
+    gains = ["--h2", "1", "--ga2", "1", "--gb2", "0", "--zeta", "0"]
+    assert run(["nj", *gains]) == 0
+    vals = _parse_kv(capsys.readouterr().out)
+    assert vals["regime"] == "NJ-case-b-candidate1"
+    assert vals["tau"] == "0"
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", *gains, "--sir-start-db", "-10", "--sir-stop-db", "-10",
+                "--out", str(out)]) == 0
+    row = out.read_text().splitlines()[-1].split(",")
+    assert format(float(row[2]), ".12g") == vals["capacity_bpcu"]  # c_nj
+
+
 def test_nj_infeasible_exits_2(capsys):
     code = run(["nj", "--h2", "0.2", "--ga2", "0.2", "--gb2", "1", "--p-dbm", "0"])
     assert code == 2

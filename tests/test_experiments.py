@@ -11,10 +11,12 @@ from ehjam import (
     sir_points,
     sir_sweep,
     solve_ne,
+    solve_ne_arrays,
     solve_nj,
+    solve_nj_arrays,
     write_csv,
 )
-from ehjam.experiments import _CSV_COLUMNS, _gain_block, _solve_ne_batch, _solve_nj_batch
+from ehjam.experiments import _CSV_COLUMNS, _gain_block
 from helpers import params_at_sir, reference_params
 
 
@@ -177,8 +179,8 @@ def test_batch_solvers_match_scalar_solvers():
     gains_vec = ChannelGains(block[:, 0], block[:, 1], block[:, 2])
     for sir_db in (-30.0, -10.0, 0.0, 10.0):
         params = params_at_sir(sir_db)
-        tau_ne, c_ne = _solve_ne_batch(gains_vec, params)
-        c_nj, feasible = _solve_nj_batch(gains_vec, params)
+        tau_ne, c_ne, _ = solve_ne_arrays(gains_vec, params)
+        _, _, c_nj, regime = solve_nj_arrays(gains_vec, params)
         for i in range(draws):
             g = ChannelGains(*block[i])
             ne = solve_ne(g, params)
@@ -186,7 +188,7 @@ def test_batch_solvers_match_scalar_solvers():
             assert abs(tau_ne[i] - ne.profile.legit.tau) <= 1e-10
             assert abs(c_ne[i] - ne.value) <= 1e-10
             assert abs(c_nj[i] - nj.value) <= 1e-9
-            assert bool(feasible[i]) == nj.feasible
+            assert bool(regime[i]) == nj.feasible  # code 0 is NJ-infeasible
 
 
 # --- CSV output -------------------------------------------------------------

@@ -1,0 +1,87 @@
+"""Property tests of the closed-form tau and the array solver cores over
+extreme inputs: profile coefficients from 0 to 1e13, gains of 0 or >= 1e12,
+zeta in {0, 1} and no jamming budget, next to ordinary values."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ehjam import (
+    NJ_REGIMES,
+    TAU_LIMIT,
+    ChannelGains,
+    SystemParams,
+    solve_ne,
+    solve_ne_arrays,
+    solve_nj,
+    solve_nj_arrays,
+)
+from ehjam.solvers import _optimal_tau, _tau_derivative
+
+# deterministic examples, no example database: the suite reruns identically
+_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def _log_uniform(lo_exp: float, hi_exp: float):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+_COEFFICIENT = st.one_of(st.just(0.0), _log_uniform(-300.0, 13.0))
+_GAIN = st.one_of(st.just(0.0), _log_uniform(-3.0, 3.0), _log_uniform(12.0, 15.0))
+
+
+@_SETTINGS
+@given(st.lists(st.tuples(_COEFFICIENT, _COEFFICIENT), min_size=1, max_size=16))
+def test_optimal_tau_is_the_stationary_point(pairs):
+    alpha, beta = (np.array(c) for c in zip(*pairs))
+    tau = _optimal_tau(alpha, beta)
+    assert np.all(np.isfinite(tau))
+    assert np.all((tau >= 0.0) & (tau <= TAU_LIMIT))
+    interior = (tau > 0.0) & (tau < TAU_LIMIT)
+    resid = _tau_derivative(tau[interior], alpha[interior], beta[interior])
+    assert np.all(np.abs(resid) <= 1e-12 * np.maximum(1.0, alpha + beta)[interior])
+    for i, (a, b) in enumerate(pairs):
+        assert _optimal_tau(a, b) == tau[i]
+
+
+@_SETTINGS
+@given(_log_uniform(-300.0, -2.0))
+def test_optimal_tau_accurate_near_branch_point(beta):
+    # W0((beta-1)/e) is sqrt(eps)-conditioned here; check the SNR term s at
+    # the returned tau against (1+s)*log1p(s) - s = beta, summed as its
+    # alternating series so that no digits cancel
+    alpha = np.sqrt(2.0 * beta) / 2.0  # puts tau near 1/2
+    tau = float(_optimal_tau(alpha, beta))
+    s = (alpha + beta * tau) / (1.0 - tau)
+    g = sum((-1) ** n * s ** n / (n * (n - 1)) for n in range(30, 1, -1))
+    assert abs(g - beta) <= 1e-12 * beta
+
+
+@_SETTINGS
+@given(
+    draws=st.lists(st.tuples(_GAIN, _GAIN, _GAIN), min_size=1, max_size=8),
+    zeta=st.sampled_from([0.0, 0.8, 1.0]),
+    gamma_max=st.sampled_from([0.0, 10.0]),
+    p_max=_log_uniform(-4.0, 4.0),
+)
+def test_array_cores_match_scalar_solvers(draws, zeta, gamma_max, p_max):
+    h2, ga2, gb2 = (np.array(c) for c in zip(*draws))
+    params = SystemParams(n_a=0.1, n_b=0.2, p_max=p_max, gamma_max=gamma_max, zeta=zeta)
+    ne = solve_ne_arrays(ChannelGains(h2, ga2, gb2), params)
+    nj = solve_nj_arrays(ChannelGains(h2, ga2, gb2), params)
+    for arr in (ne.tau, ne.value, nj.p, nj.tau, nj.value):
+        assert np.all(np.isfinite(arr))
+    for tau in (ne.tau, nj.tau):
+        assert np.all((tau >= 0.0) & (tau <= TAU_LIMIT))
+    assert np.all(ne.value >= nj.value - 1e-9)
+    for i, draw in enumerate(draws):
+        gains = ChannelGains(*draw)
+        res = solve_ne(gains, params)
+        assert res.profile.legit.tau == ne.tau[i]
+        assert res.value == ne.value[i]
+        assert res.feasible == ne.stable[i]
+        res = solve_nj(gains, params)
+        assert res.profile.legit.p == nj.p[i]
+        assert res.profile.legit.tau == nj.tau[i]
+        assert res.value == nj.value[i]
+        assert res.regime is NJ_REGIMES[nj.regime[i]]

@@ -1,19 +1,16 @@
-import math
-
 import numpy as np
 import pytest
 
 from ehjam import (
-    BracketError,
     ChannelGains,
     FixedPower,
     JammerRegime,
     NeutralizationInfeasible,
     OnThreshold,
     SolutionRegime,
+    SystemParams,
     capacity,
     capacity_tau_derivative,
-    find_root_bracketed,
     jammer_best_response,
     k_constant,
     ne_grid_optimum,
@@ -22,7 +19,9 @@ from ehjam import (
     p_threshold,
     profile_capacity,
     solve_ne,
+    solve_ne_arrays,
     solve_nj,
+    solve_nj_arrays,
     tau_hat,
     tau_profile_capacity,
     tau_star,
@@ -93,42 +92,9 @@ def test_derivative_vanishes_at_returned_roots():
             if not opt.boundary:
                 resid = capacity_tau_derivative(prof, opt.tau, gains, params)
                 assert abs(resid) <= 1e-10
-                assert opt.report is not None
-                assert opt.report.residual <= 1e-10
 
 
-# --- bracketed root finding -------------------------------------------------
-
-def test_find_root_linear():
-    rep = find_root_bracketed(lambda t: t - 0.5, 0.0, 1.0, tol=1e-10)
-    assert rep.root == pytest.approx(0.5, abs=1e-10)
-    assert rep.bracket == (0.0, 1.0)
-    assert 0.0 < rep.root < 1.0
-    assert rep.iterations > 0
-
-
-def test_find_root_cosine():
-    rep = find_root_bracketed(lambda t: math.cos(math.pi * t), 0.0, 1.0)
-    assert rep.root == pytest.approx(0.5, abs=1e-12)
-
-
-def test_find_root_requires_sign_change():
-    with pytest.raises(BracketError):
-        find_root_bracketed(lambda t: 1.0 + t, 0.0, 1.0)
-
-
-def test_find_root_argument_validation():
-    with pytest.raises(ValueError):
-        find_root_bracketed(lambda t: t, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        find_root_bracketed(lambda t: t, 0.0, 1.0, tol=0.0)
-
-
-def test_find_root_handles_descending_functions():
-    rep = find_root_bracketed(lambda t: 0.25 - t, 0.0, 1.0)
-    assert rep.root == pytest.approx(0.25, abs=1e-12)
-    assert rep.residual <= 1e-12
-
+# --- tau_star ---------------------------------------------------------------
 
 def test_tau_star_matches_dense_grid_argmax():
     gains = ChannelGains(0.7, 1.3, 0.15)
@@ -138,6 +104,25 @@ def test_tau_star_matches_dense_grid_argmax():
     assert abs(opt.tau - tau_grid) <= 1e-5
     value = capacity(params.p_max, opt.tau, params.gamma_max, gains, params)
     assert value == pytest.approx(value_grid, rel=1e-6)
+
+
+def test_tau_star_exact_for_tiny_harvesting_coefficient():
+    # beta ~ 2e-12: the optimum sits between 1 - 1e-6 and TAU_LIMIT, and the
+    # value at TAU_LIMIT falls short of it by ~2.5e-5 relative
+    gains = ChannelGains(1e-14, 1.0, 0.2)
+    params = SystemParams(n_a=0.1, n_b=0.2, p_max=1.0, gamma_max=10.0, zeta=1.0)
+    opt = tau_star(gains, params)
+    gaps = np.logspace(-12.0, -3.0, 200_001)  # 1 - tau, ratio step 1.0001
+    vals = capacity(params.p_max, 1.0 - gaps, params.gamma_max, gains, params)
+    best = int(np.argmax(vals))
+    assert not opt.boundary
+    assert abs((1.0 - opt.tau) / gaps[best] - 1.0) <= 2e-4
+    value = capacity(params.p_max, opt.tau, params.gamma_max, gains, params)
+    assert value >= vals[best] * (1.0 - 1e-12)
+    # the array core returns the same tau for the same draw inside a batch
+    batch = ChannelGains(np.array([1.0, 1e-14]), np.array([1.0, 1.0]), np.array([0.2, 0.2]))
+    assert solve_ne_arrays(batch, params).tau[1] == opt.tau
+    assert solve_ne(gains, params).profile.legit.tau == opt.tau
 
 
 # --- tau_hat / tau_tilde ----------------------------------------------------
@@ -178,7 +163,6 @@ def test_tau_tilde_boundary_flag_when_nothing_harvested():
     opt = tau_tilde(gains, params)
     assert opt.boundary
     assert opt.tau == 0.0
-    assert opt.report is None
 
 
 # --- solve_nj ---------------------------------------------------------------
@@ -260,6 +244,21 @@ def test_solve_nj_zero_efficiency_degenerates_to_zero_value():
     assert res.feasible  # the gain condition alone still holds
     assert res.value == 0.0
     assert res.profile.legit.p == 0.0
+
+
+def test_solve_nj_zero_efficiency_interference_free_jammer():
+    # zeta == 0 and gb2 == 0: every strategy neutralizes and nothing is
+    # harvested, so the optimum is full power without time sharing
+    gains = ChannelGains(1.0, 1.0, 0.0)
+    params = reference_params(zeta=0.0, p_max=1.0)
+    res = solve_nj(gains, params)
+    assert res.feasible
+    assert res.regime is SolutionRegime.NJ_CASE_B_CANDIDATE1
+    assert res.profile.legit.p == params.p_max
+    assert res.profile.legit.tau == 0.0
+    assert res.value == capacity(params.p_max, 0.0, 0.0, gains, params)
+    batch = ChannelGains(np.array([1.0, 0.5]), np.array([1.0, 1.0]), np.array([0.0, 0.2]))
+    assert solve_nj_arrays(batch, params).value[0] == res.value
 
 
 # --- solve_ne ---------------------------------------------------------------
