@@ -2,7 +2,10 @@
 
 Engineer-facing units at the boundary: powers in dBm (or linear mW via the
 ``--*-mw`` twins), gains unitless, SIR in dB. Everything inside runs in
-linear milliwatts.
+linear milliwatts. Each flag and its default is declared once, in argparse,
+so ``--help`` shows every default; ``--echo-config`` prints a shell-quoted
+``# flags:`` line, derived from the parsed flags, that reproduces the run
+when pasted into a shell.
 
 Exit codes: 0 success, 1 configuration error, 2 infeasibility where the
 subcommand requires feasibility, 3 verification failure.
@@ -13,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import shlex
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -30,6 +34,17 @@ EXIT_VERIFY = 3
 ENV_OUTPUT_DIR = "EHJAM_OUTPUT_DIR"
 
 _VERIFY_SIRS_DB = (-30.0, -10.0, 0.0, 10.0)
+
+#: Power flag stem -> (SystemParams field, help text, default in dBm).
+_POWERS = {
+    "na": ("n_a", "noise power at the harvesting side", -10.0),
+    "nb": ("n_b", "noise power at the receiver", -7.0),
+    "gamma": ("gamma_max", "jamming power budget", 10.0),
+    "p": ("p_max", "transmit power budget", 0.0),
+}
+
+#: Namespace entries that are not flags of the run being echoed.
+_NOT_ECHOED = ("command", "cmd", "echo_config")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,31 +67,19 @@ def _dbm_or_inf(mw: float) -> str:
     return _fmt(linear_to_db(mw)) if mw > 0 else "-inf"
 
 
-def _add_power_pair(parser, name, help_base, default_dbm=None):
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument(f"--{name}-dbm", type=float, default=None,
-                       help=f"{help_base} in dBm"
-                            + (f" (default {default_dbm})" if default_dbm is not None else ""))
-    group.add_argument(f"--{name}-mw", type=float, default=None,
-                       help=f"{help_base} in linear mW")
-
-
-def _resolve_power(args, name, default_dbm):
-    dbm = getattr(args, f"{name.replace('-', '_')}_dbm")
-    mw = getattr(args, f"{name.replace('-', '_')}_mw")
-    if mw is not None:
-        return mw
-    if dbm is not None:
-        return db_to_linear(dbm)
-    return db_to_linear(default_dbm)
-
-
-def _add_param_flags(parser):
-    _add_power_pair(parser, "na", "noise power at the harvesting side", -10.0)
-    _add_power_pair(parser, "nb", "noise power at the receiver", -7.0)
-    _add_power_pair(parser, "gamma", "jamming power budget", 10.0)
+def _add_shared_flags(parser, stems):
+    """The power pairs named by stems, --zeta and --echo-config."""
+    for stem in stems:
+        _, help_base, default_dbm = _POWERS[stem]
+        group = parser.add_mutually_exclusive_group()
+        group.add_argument(f"--{stem}-dbm", type=float, default=default_dbm,
+                           help=f"{help_base} in dBm")
+        group.add_argument(f"--{stem}-mw", type=float,
+                           help=f"{help_base} in linear mW")
     parser.add_argument("--zeta", type=float, default=0.8,
-                        help="harvesting efficiency in [0, 1] (default 0.8)")
+                        help="harvesting efficiency in [0, 1]")
+    parser.add_argument("--echo-config", action="store_true",
+                        help="print a shell-quoted flag line that reproduces this run")
 
 
 def _add_gain_flags(parser, required):
@@ -95,39 +98,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = dict(formatter_class=argparse.ArgumentDefaultsHelpFormatter)
 
-    p_nj = sub.add_parser("nj", help="solve the jammer-neutralizing optimum", **common)
-    _add_param_flags(p_nj)
-    _add_power_pair(p_nj, "p", "transmit power budget", 0.0)
-    _add_gain_flags(p_nj, required=True)
-    p_nj.add_argument("--echo-config", action="store_true",
-                      help="print a flag line that reproduces this run")
-
-    p_ne = sub.add_parser("ne", help="solve the full-power operating point", **common)
-    _add_param_flags(p_ne)
-    _add_power_pair(p_ne, "p", "transmit power budget", 0.0)
-    _add_gain_flags(p_ne, required=True)
-    p_ne.add_argument("--echo-config", action="store_true",
-                      help="print a flag line that reproduces this run")
+    for name, help_text in (("nj", "solve the jammer-neutralizing optimum"),
+                            ("ne", "solve the full-power operating point")):
+        p_pt = sub.add_parser(name, help=help_text, **common)
+        _add_shared_flags(p_pt, ("na", "nb", "gamma", "p"))
+        _add_gain_flags(p_pt, required=True)
+        p_pt.set_defaults(cmd=_cmd_point)
 
     p_sw = sub.add_parser("sweep", help="run an SIR sweep and write CSV", **common)
-    _add_param_flags(p_sw)
-    p_sw.add_argument("--sir-start-db", type=float, default=-30.0)
-    p_sw.add_argument("--sir-stop-db", type=float, default=10.0)
-    p_sw.add_argument("--sir-step-db", type=float, default=1.0)
+    _add_shared_flags(p_sw, ("na", "nb", "gamma"))
+    p_sw.add_argument("--sir-start-db", type=float, default=-30.0,
+                      help="first SIR point in dB")
+    p_sw.add_argument("--sir-stop-db", type=float, default=10.0,
+                      help="last SIR point in dB (inclusive)")
+    p_sw.add_argument("--sir-step-db", type=float, default=1.0,
+                      help="SIR step in dB")
     p_sw.add_argument("--draws", type=int, default=10_000,
                       help="Monte Carlo channel draws per sweep")
     p_sw.add_argument("--seed", type=int, default=0, help="channel sampling seed")
     _add_gain_flags(p_sw, required=False)
-    p_sw.add_argument("--out", type=str, default=None,
-                      help=f"output CSV path (default: ${ENV_OUTPUT_DIR}/sweep.csv"
-                           " or ./sweep.csv)")
-    p_sw.add_argument("--echo-config", action="store_true",
-                      help="print a flag line that reproduces this run")
+    p_sw.add_argument("--out", type=Path,
+                      default=Path(os.environ.get(ENV_OUTPUT_DIR, ".")) / "sweep.csv",
+                      help=f"output CSV path; the default directory is ${ENV_OUTPUT_DIR}"
+                           " when set")
+    p_sw.set_defaults(cmd=_cmd_sweep)
 
     p_vf = sub.add_parser("verify",
                           help="stability and dominance checks on random channels",
                           **common)
-    _add_param_flags(p_vf)
+    _add_shared_flags(p_vf, ("na", "nb", "gamma"))
     p_vf.add_argument("--sets", type=int, default=20, help="random parameter sets")
     p_vf.add_argument("--seed", type=int, default=0, help="channel sampling seed")
     p_vf.add_argument("--legit-grid", type=int, default=200,
@@ -136,32 +135,38 @@ def build_parser() -> argparse.ArgumentParser:
                       help="grid points for the jamming power")
     p_vf.add_argument("--tol", type=float, default=1e-8,
                       help="largest tolerated capacity improvement")
-    p_vf.add_argument("--echo-config", action="store_true",
-                      help="print a flag line that reproduces this run")
+    p_vf.set_defaults(cmd=_cmd_verify)
     return parser
 
 
-def _build_params(args, p_max) -> SystemParams:
-    return SystemParams(
-        n_a=_resolve_power(args, "na", -10.0),
-        n_b=_resolve_power(args, "nb", -7.0),
-        p_max=p_max,
-        gamma_max=_resolve_power(args, "gamma", 10.0),
-        zeta=args.zeta,
-    )
+def _power(args, stem: str) -> float:
+    mw = getattr(args, f"{stem}_mw")
+    return mw if mw is not None else db_to_linear(getattr(args, f"{stem}_dbm"))
 
 
-def _param_flags(params: SystemParams) -> list[str]:
-    return [
-        "--na-mw", _fmt_exact(params.n_a),
-        "--nb-mw", _fmt_exact(params.n_b),
-        "--gamma-mw", _fmt_exact(params.gamma_max),
-        "--zeta", _fmt_exact(params.zeta),
-    ]
+def _build_params(args) -> SystemParams:
+    """Parameters from the parsed power flags; p_max is 1 mW for the
+    subcommands without --p-*, which derive it per SIR point."""
+    powers = {field: _power(args, stem) for stem, (field, _, _) in _POWERS.items()
+              if hasattr(args, f"{stem}_mw")}
+    return SystemParams(**{"p_max": 1.0, **powers}, zeta=args.zeta)
 
 
-def _echo(flags: list[str]) -> None:
-    print("# flags: " + " ".join(flags))
+def _echo(args, params: SystemParams) -> None:
+    """Print the run's flags as one shell-quoted line: powers as exact mW,
+    every other flag as parsed."""
+    flags = [args.command]
+    for key, value in vars(args).items():
+        stem = key.removesuffix("_mw")
+        if stem in _POWERS:
+            value = getattr(params, _POWERS[stem][0])
+        elif key in _NOT_ECHOED or key.endswith("_dbm") or value is None:
+            continue
+        flag = "--" + key.replace("_", "-")
+        text = _fmt_exact(value) if isinstance(value, float) else str(value)
+        # argparse reads a separate "-1e-05" or "-x.csv" as a flag, not a value
+        flags += [f"{flag}={text}"] if text.startswith("-") else [flag, text]
+    print("# flags: " + shlex.join(flags))
 
 
 def _print_point(res) -> None:
@@ -174,15 +179,9 @@ def _print_point(res) -> None:
     print(f"capacity_bpcu={_fmt(res.value)}")
 
 
-def _cmd_point(args, kind: str) -> int:
-    params = _build_params(args, p_max=_resolve_power(args, "p", 0.0))
+def _cmd_point(args, params) -> int:
     gains = ChannelGains(args.h2, args.ga2, args.gb2)
-    if args.echo_config:
-        _echo([kind] + _param_flags(params)
-              + ["--p-mw", _fmt_exact(params.p_max),
-                 "--h2", _fmt_exact(gains.h2), "--ga2", _fmt_exact(gains.ga2),
-                 "--gb2", _fmt_exact(gains.gb2)])
-    if kind == "nj":
+    if args.command == "nj":
         res = solve_nj(gains, params)
         if not res.feasible:
             print("neutralization infeasible", file=sys.stderr)
@@ -193,53 +192,28 @@ def _cmd_point(args, kind: str) -> int:
     return EXIT_OK
 
 
-def _default_out() -> Path:
-    return Path(os.environ.get(ENV_OUTPUT_DIR, ".")) / "sweep.csv"
-
-
-def _cmd_sweep(args) -> int:
-    params = _build_params(args, p_max=1.0)  # p_max is re-derived per SIR point
+def _cmd_sweep(args, params) -> int:
     gains_given = [g for g in (args.h2, args.ga2, args.gb2) if g is not None]
     if gains_given and len(gains_given) != 3:
         print("ehjam sweep: error: give all of --h2/--ga2/--gb2 or none",
               file=sys.stderr)
         return EXIT_CONFIG
-    fixed = ChannelGains(args.h2, args.ga2, args.gb2) if gains_given else None
     config = SweepConfig(
         sir_start_db=args.sir_start_db,
         sir_stop_db=args.sir_stop_db,
         sir_step_db=args.sir_step_db,
         params=params,
-        fixed_gains=fixed,
+        fixed_gains=ChannelGains(args.h2, args.ga2, args.gb2) if gains_given else None,
         mc_draws=args.draws,
         rng_seed=args.seed,
     )
-    out = Path(args.out) if args.out else _default_out()
-    if args.echo_config:
-        flags = (["sweep"] + _param_flags(params)
-                 + ["--sir-start-db", _fmt_exact(args.sir_start_db),
-                    "--sir-stop-db", _fmt_exact(args.sir_stop_db),
-                    "--sir-step-db", _fmt_exact(args.sir_step_db),
-                    "--draws", str(args.draws), "--seed", str(args.seed),
-                    "--out", str(out)])
-        if fixed is not None:
-            flags += ["--h2", _fmt_exact(fixed.h2), "--ga2", _fmt_exact(fixed.ga2),
-                      "--gb2", _fmt_exact(fixed.gb2)]
-        _echo(flags)
     records = sir_sweep(config)
-    write_csv(records, out, config)
-    print(f"wrote {out} ({len(records)} SIR points)")
+    write_csv(records, args.out, config)
+    print(f"wrote {args.out} ({len(records)} SIR points)")
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    params0 = _build_params(args, p_max=1.0)
-    if args.echo_config:
-        _echo(["verify"] + _param_flags(params0)
-              + ["--sets", str(args.sets), "--seed", str(args.seed),
-                 "--legit-grid", str(args.legit_grid),
-                 "--jammer-grid", str(args.jammer_grid),
-                 "--tol", _fmt_exact(args.tol)])
+def _cmd_verify(args, params0) -> int:
     if args.sets < 1:
         print("ehjam verify: error: --sets must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
@@ -275,24 +249,18 @@ def _cmd_verify(args) -> int:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "nj":
-            return _cmd_point(args, "nj")
-        if args.command == "ne":
-            return _cmd_point(args, "ne")
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
+        params = _build_params(args)
+        if args.echo_config:
+            _echo(args, params)
+        return args.cmd(args, params)
     except (ValueError, OSError) as exc:
         print(f"ehjam: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 def main() -> None:

@@ -10,7 +10,7 @@ compensated summation (math.fsum) for the same reason.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,18 +41,6 @@ __all__ = [
 #: Tolerated float noise below exact dominance before a ratio is a violation.
 DOMINANCE_TOL = 1e-9
 
-_CSV_COLUMNS = (
-    "sir_db",
-    "c_ne",
-    "c_nj",
-    "c_no_eh",
-    "f",
-    "f_nj",
-    "nj_feasible_fraction",
-    "tau_ne_mean",
-    "f_ratio_mean",
-    "f_nj_ratio_mean",
-)
 
 def _gain_block(seed: int, start: int, count: int) -> np.ndarray:
     """(count, 3) squared standard-normal gains for draws start..start+count-1.
@@ -155,6 +143,10 @@ class SweepRecord:
     tau_ne_mean: float
     f_ratio_mean: float
     f_nj_ratio_mean: float
+
+
+#: CSV columns, in SweepRecord field order.
+_CSV_COLUMNS = tuple(f.name for f in fields(SweepRecord))
 
 
 def sir_points(config: SweepConfig) -> list[float]:

@@ -383,15 +383,15 @@ def ne_grid_optimum(gains: ChannelGains, params: SystemParams, n: int = 100_000,
 def nj_grid_value(gains: ChannelGains, params: SystemParams, n: int = 500,
                   workers: int = 1) -> float:
     """Constrained 2-D grid oracle: best capacity over a silent jammer with
-    p <= min(P, tau*K), n points per axis. Returns 0 when infeasible."""
+    p <= min(P, tau*K), n points per axis; with gb2 == 0 every strategy
+    neutralizes and p ranges up to P. Returns 0 when infeasible."""
     if not neutralization_feasible(gains, params):
         return 0.0
-    k = k_constant(gains, params)
     taus = np.linspace(0.0, TAU_LIMIT, n)
-    if math.isinf(k):
+    if gains.gb2 == 0.0:
         p_cap = np.full(n, params.p_max)
     else:
-        p_cap = np.minimum(params.p_max, taus * k)
+        p_cap = np.minimum(params.p_max, taus * k_constant(gains, params))
     frac = np.linspace(0.0, 1.0, n)
     best = -math.inf
     for lo, hi in _chunks(n, workers):

@@ -1,6 +1,12 @@
+import io
 import shlex
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ehjam import ChannelGains, solve_ne, solve_nj
 from ehjam.cli import run
@@ -103,6 +109,15 @@ def test_conflicting_power_units_exit_1(capsys):
     assert code == 1
 
 
+def test_conflicting_power_units_exit_1_with_dbm_at_default(capsys):
+    # the dBm flag's value equals its argparse default; argparse must still
+    # see it as given
+    code = run(["ne", "--h2", "1", "--ga2", "1", "--gb2", "0.2",
+                "--na-dbm", "-10", "--na-mw", "1"])
+    assert code == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_sweep_deterministic_bytes(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -160,8 +175,22 @@ def test_echo_config_reproduces_run(tmp_path, capsys):
     assert body1 == body2
 
 
-def test_echo_config_point_run(capsys):
-    base = ["ne", "--h2", "1.5", "--ga2", "0.7", "--gb2", "0.1", "--p-dbm", "3"]
+def test_echo_config_reproduces_run_with_space_in_out_path(tmp_path, capsys):
+    out = tmp_path / "my sweep.csv"
+    assert run(["sweep", "--sir-start-db", "-5", "--sir-stop-db", "0",
+                "--sir-step-db", "5", "--draws", "50", "--seed", "3",
+                "--out", str(out), "--echo-config"]) == 0
+    echo_line = capsys.readouterr().out.splitlines()[0]
+    first = out.read_bytes()
+    out.unlink()
+    assert run(shlex.split(echo_line.removeprefix("# flags: "))) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == first
+
+
+@pytest.mark.parametrize("kind", ["ne", "nj"])
+def test_echo_config_point_run(capsys, kind):
+    base = [kind, "--h2", "1.5", "--ga2", "0.7", "--gb2", "0.1", "--p-dbm", "3"]
     assert run(base + ["--echo-config"]) == 0
     out = capsys.readouterr().out
     echo_line = next(l for l in out.splitlines() if l.startswith("# flags: "))
@@ -182,6 +211,15 @@ def test_verify_passes_and_is_deterministic(capsys):
     assert "result=pass" in out1
 
 
+def test_echo_config_verify_run(capsys):
+    argv = ["verify", "--sets", "4", "--seed", "2", "--legit-grid", "30",
+            "--jammer-grid", "30", "--tol=-1e-12", "--gamma-dbm", "5"]
+    code = run(argv + ["--echo-config"])
+    echo_line, _, body = capsys.readouterr().out.partition("\n")
+    assert run(shlex.split(echo_line.removeprefix("# flags: "))) == code
+    assert capsys.readouterr().out == body
+
+
 def test_verify_fails_with_impossible_tolerance(capsys):
     code = run(["verify", "--sets", "4", "--seed", "1",
                 "--legit-grid", "40", "--jammer-grid", "40", "--tol", "-1"])
@@ -196,3 +234,83 @@ def test_help_lists_flags_with_units(capsys):
                  "--sir-start-db", "--draws", "--seed", "--out"):
         assert flag in out
     assert "dBm" in out and "mW" in out
+
+
+def test_help_shows_each_dbm_default_once(capsys):
+    assert run(["ne", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for what, default in (("noise power at the harvesting side", "-10.0"),
+                          ("noise power at the receiver", "-7.0"),
+                          ("jamming power budget", "10.0"),
+                          ("transmit power budget", "0.0")):
+        assert f"{what} in dBm (default: {default}) " in text
+        assert f"(default {default})" not in text
+    assert "in dBm (default: None)" not in text
+    assert "harvesting efficiency in [0, 1] (default: 0.8) " in text
+
+
+# --- echo round trip over drawn flags ---------------------------------------
+
+_ECHO_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+                          database=None)
+# printable ASCII file names: spaces, quotes and shell metacharacters included
+_FILE_NAME = st.text(st.characters(min_codepoint=32, max_codepoint=126,
+                                   blacklist_characters="/"),
+                     min_size=1, max_size=16).filter(lambda s: s not in (".", ".."))
+
+
+@st.composite
+def _shared_flags(draw, stems):
+    """Each power left at its default, given in dBm or given in mW, and zeta."""
+    argv = []
+    for stem in stems:
+        unit = draw(st.sampled_from([None, "dbm", "mw"]))
+        if unit == "dbm":
+            argv.append(f"--{stem}-dbm={draw(st.floats(-30.0, 30.0))!r}")
+        elif unit == "mw":
+            argv.append(f"--{stem}-mw={draw(st.floats(1e-3, 1e3))!r}")
+    return argv + [f"--zeta={draw(st.floats(0.0, 1.0))!r}"]
+
+
+def _run_quiet(argv):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = run(argv)
+    return code, out.getvalue()
+
+
+def _split_echo(stdout):
+    """The argv of the leading '# flags:' line, and the rest of stdout."""
+    echo_line, _, body = stdout.partition("\n")
+    assert echo_line.startswith("# flags: ")
+    return shlex.split(echo_line.removeprefix("# flags: ")), body
+
+
+@_ECHO_SETTINGS
+@given(kind=st.sampled_from(["ne", "nj"]),
+       shared=_shared_flags(("na", "nb", "gamma", "p")),
+       gains=st.tuples(*[st.floats(0.0, 10.0)] * 3))
+def test_echo_reproduces_point_run(kind, shared, gains):
+    h2, ga2, gb2 = (repr(g) for g in gains)
+    argv = [kind, *shared, "--h2", h2, "--ga2", ga2, "--gb2", gb2, "--echo-config"]
+    code, stdout = _run_quiet(argv)
+    echoed, body = _split_echo(stdout)
+    assert _run_quiet(echoed) == (code, body)
+
+
+@_ECHO_SETTINGS
+@given(shared=_shared_flags(("na", "nb", "gamma")), sir=st.floats(-40.0, 40.0),
+       seed=st.integers(0, 2**31), name=_FILE_NAME)
+@example(shared=[], sir=-1e-05, seed=0, name="it's a \"run\" $HOME.csv")
+def test_echo_reproduces_sweep(shared, sir, seed, name):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / name
+        argv = ["sweep", *shared, f"--sir-start-db={sir!r}", f"--sir-stop-db={sir!r}",
+                "--draws", "10", "--seed", str(seed), "--out", str(out)]
+        code, stdout = _run_quiet(argv + ["--echo-config"])
+        assert code == 0
+        echoed, body = _split_echo(stdout)
+        first = out.read_bytes()
+        out.unlink()
+        assert _run_quiet(echoed) == (0, body)
+        assert out.read_bytes() == first

@@ -402,3 +402,11 @@ def test_grid_oracles_worker_hint_is_result_invariant():
 
 def test_nj_grid_value_zero_when_infeasible():
     assert nj_grid_value(ChannelGains(0.2, 0.2, 1.0), reference_params()) == 0.0
+
+
+def test_nj_grid_value_interference_free_jammer_at_zero_efficiency():
+    # gb2 == 0: every strategy neutralizes, so the grid reaches p = P even
+    # though zeta == 0 makes the threshold slope K zero
+    gains = ChannelGains(1.0, 1.0, 0.0)
+    params = SystemParams(n_a=0.1, n_b=0.2, p_max=1.0, gamma_max=10.0, zeta=0.0)
+    assert nj_grid_value(gains, params) == solve_nj(gains, params).value
