@@ -178,10 +178,17 @@ def capacity(p, tau, gamma, gains: ChannelGains, params: SystemParams):
     if np.any(t < 0.0) or np.any(t > 1.0):
         raise ValueError("tau must lie in [0, 1]")
     remain = 1.0 - np.asarray(tau, dtype=float)
-    num = (p + tau * params.zeta * (gamma * gains.ga2 + params.n_a)) * gains.h2
     den = remain * (gamma * gains.gb2 + params.n_b)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        c = remain / 2.0 * np.log1p(num / den) / _LN2
+        # h2/den first: (p + harvest)*h2 overflows for gains near 1e160
+        num = p + tau * params.zeta * (gamma * gains.ga2 + params.n_a)
+        snr = num * (gains.h2 / den)
+        log1p_snr = np.log1p(snr)
+        over = ~np.isfinite(snr)
+        if np.any(over):  # snr or h2/den beyond the float range: sum logs
+            log_snr = np.log(num) + np.log(gains.h2) - np.log(den)
+            log1p_snr = np.where(over, np.logaddexp(0.0, log_snr), log1p_snr)
+        c = remain / 2.0 * log1p_snr / _LN2
     out = np.where(remain == 0.0, 0.0, c)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -214,19 +221,23 @@ def neutralization_feasible(gains: ChannelGains, params: SystemParams):
     return gains.ga2 * params.n_b > gains.gb2 * params.n_a
 
 
-def p_threshold(tau, gains: ChannelGains, params: SystemParams) -> float:
-    """Largest transmit power at which more jamming still helps the link.
+def p_threshold(tau, gains: ChannelGains, params: SystemParams):
+    """Largest transmit power at which more jamming still helps the link,
+    elementwise over tau and gain arrays.
 
-    Linear in the EH fraction: ``tau * K``. With gb2 == 0 (and zeta > 0) the
-    threshold is unbounded for every tau, including tau == 0 where capacity
-    is simply flat in the jamming power.
+    Linear in the EH fraction: ``tau * K``, and the one place that product is
+    formed. Unbounded rule: +inf at every tau where gb2 == 0 (the jammer
+    cannot reach the receiver, so every power neutralizes, zeta == 0
+    included), +inf for tau > 0 where K overflows, and 0 at tau == 0
+    otherwise.
     """
-    if not 0.0 <= tau < 1.0:
+    t = np.asarray(tau, dtype=float)
+    if np.any(t < 0.0) or np.any(t >= 1.0):
         raise ValueError("tau must lie in [0, 1)")
-    k = k_constant(gains, params)
-    if math.isinf(k):
-        return math.inf
-    return tau * k
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = t * k_constant(gains, params)
+    p = np.where(np.asarray(gains.gb2) == 0.0, math.inf, np.where(t == 0.0, 0.0, p))
+    return float(p) if p.ndim == 0 else p
 
 
 def p_threshold_inverse(p, gains: ChannelGains, params: SystemParams) -> float:
@@ -251,15 +262,13 @@ def jamming_sign(p, tau, gains: ChannelGains, params: SystemParams):
     it decreases (full power), 0 where it is flat.
 
     The sign of dC/dgamma is gamma-independent and given by
-    ``tau*zeta*ga2*n_b - (p + tau*zeta*n_a)*gb2``, which equals
-    gb2*(tau*K - p) when the threshold slope K is finite and has the sign of
-    tau*zeta*ga2 when gb2 == 0. Links that cannot be neutralized read -1
-    throughout, flat cases included.
+    ``tau*zeta*ga2*n_b - (p + tau*zeta*n_a)*gb2``, which has the sign of
+    p_threshold - p when gb2 > 0 and of tau*zeta*ga2 when gb2 == 0. Links
+    that cannot be neutralized read -1 throughout, flat cases included.
     """
-    with np.errstate(invalid="ignore"):
-        slope = np.where(np.asarray(gains.gb2) == 0.0,
-                         tau * params.zeta * gains.ga2,
-                         tau * k_constant(gains, params) - p)
+    slope = np.where(np.asarray(gains.gb2) == 0.0,
+                     tau * params.zeta * gains.ga2,
+                     p_threshold(tau, gains, params) - p)
     sign = np.where(neutralization_feasible(gains, params), np.sign(slope), -1.0)
     return float(sign) if sign.ndim == 0 else sign
 

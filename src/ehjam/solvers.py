@@ -6,7 +6,11 @@ Every one-dimensional profile handled here reduces to the same family
 derivative is ``-(alpha+beta)^2 / (2 ln2 (1-tau) D^2) <= 0``: the profiles
 are concave in tau, and the stationary point has a closed form in the
 Lambert W function (Corless et al., "On the Lambert W function", 1996), so
-no root finding is needed.
+no root finding is needed. The neutralizing optimum rides
+p = min(P, p_threshold(tau)); capacity along that path is the pointwise
+minimum of two such concave profiles, hence concave itself (Boyd and
+Vandenberghe, "Convex Optimization", 2004, sec. 3.2.3), so its maximizer
+follows from the two profile optima and the kink without comparing values.
 
 One array core per operating point (solve_ne_arrays, solve_nj_arrays) works
 elementwise over gain arrays; the scalar solvers are its 0-d case.
@@ -31,8 +35,8 @@ from .model import (
     SystemParams,
     capacity,
     jamming_sign,
-    k_constant,
     neutralization_feasible,
+    p_threshold,
     profile_capacity,
 )
 
@@ -86,19 +90,17 @@ class OnThreshold:
 TauProfile = Union[FixedPower, OnThreshold]
 
 
-def _threshold_beta(gains: ChannelGains, params: SystemParams):
-    """beta of the threshold-riding profile (alpha is 0); inf or nan where gb2 == 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return params.zeta * gains.ga2 * gains.h2 / np.asarray(gains.gb2, dtype=float)
-
-
-def _profile_coefficients(profile: TauProfile, gains: ChannelGains, params: SystemParams):
-    """Reduce a tau-profile to the (alpha, beta) pair of the canonical family."""
+def _profile_factors(profile: TauProfile, gains: ChannelGains, params: SystemParams):
+    """(p, lead, den) of a tau-profile: alpha = p*h2/den and beta = lead*h2/den."""
     if isinstance(profile, FixedPower):
-        scale = gains.h2 / (profile.gamma * gains.gb2 + params.n_b)
-        alpha = profile.p * scale
-        beta = params.zeta * (profile.gamma * gains.ga2 + params.n_a) * scale
-        return alpha, beta
+        return (profile.p, params.zeta * (profile.gamma * gains.ga2 + params.n_a),
+                profile.gamma * gains.gb2 + params.n_b)
+    if isinstance(profile, OnThreshold):
+        return 0.0, params.zeta * gains.ga2, np.asarray(gains.gb2, dtype=float)
+    raise TypeError(f"unknown tau-profile: {profile!r}")
+
+
+def _check_profile(profile: TauProfile, gains: ChannelGains, params: SystemParams):
     if isinstance(profile, OnThreshold):
         if not neutralization_feasible(gains, params):
             raise NeutralizationInfeasible(
@@ -106,8 +108,6 @@ def _profile_coefficients(profile: TauProfile, gains: ChannelGains, params: Syst
             )
         if np.any(np.asarray(gains.gb2) == 0.0):
             raise ValueError("threshold profile is undefined when gb2 == 0")
-        return 0.0, _threshold_beta(gains, params)
-    raise TypeError(f"unknown tau-profile: {profile!r}")
 
 
 def _tau_derivative(tau, alpha, beta):
@@ -135,7 +135,7 @@ def _optimal_tau(alpha, beta):
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s = np.expm1(1.0 + lambertw((beta - 1.0) / math.e).real)
         log1p_s = np.log1p(s)
         s = s - ((1.0 + s) * log1p_s - s - beta) / log1p_s
@@ -147,14 +147,42 @@ def _optimal_tau(alpha, beta):
     return np.where(rising, np.clip(tau, 0.0, TAU_LIMIT), 0.0)
 
 
+def _profile_tau(profile: TauProfile, gains: ChannelGains, params: SystemParams):
+    """_optimal_tau of a tau-profile, elementwise, also where alpha or beta
+    exceed the float range (gb2 == 0 on the threshold profile gives 0).
+
+    Where lead*h2/den overflows, beta is formed from its logarithm L; where
+    it is beyond the float range, s >> 1 and W0 solves w + log(w) = L - 1,
+    so s/beta = 1/w and tau = (1 - w*alpha/beta)/(1 + w).
+    """
+    p, lead, den = _profile_factors(profile, gains, params)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scale = gains.h2 / den
+        alpha, beta = p * scale, lead * scale
+        over = np.isinf(beta) & (den > 0.0)
+        if not np.any(over):
+            return _optimal_tau(alpha, beta)
+        log_beta = np.log(lead) + np.log(gains.h2) - np.log(den)
+        beta = np.where(over, np.exp(log_beta), beta)
+        ratio = p / lead
+        tau = _optimal_tau(np.where(over, ratio * beta, alpha), beta)
+        w = log_beta - 1.0
+        for _ in range(5):  # a contraction by 1/w < 1/700
+            w = log_beta - 1.0 - np.log(w)
+        tau_huge = np.clip((1.0 - ratio * w) / (1.0 + w), 0.0, TAU_LIMIT)
+    return np.where(over & np.isinf(beta), tau_huge, tau)
+
+
 def capacity_tau_derivative(profile: TauProfile, tau, gains: ChannelGains,
                             params: SystemParams):
     """Analytic derivative of capacity along a tau-profile."""
     t = np.asarray(tau)
     if np.any(t < 0.0) or np.any(t >= 1.0):
         raise ValueError("tau must lie in [0, 1)")
-    alpha, beta = _profile_coefficients(profile, gains, params)
-    out = _tau_derivative(tau, alpha, beta)
+    _check_profile(profile, gains, params)
+    p, lead, den = _profile_factors(profile, gains, params)
+    scale = gains.h2 / den
+    out = _tau_derivative(tau, p * scale, lead * scale)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -163,8 +191,7 @@ def tau_profile_capacity(profile: TauProfile, tau, gains: ChannelGains,
     """Capacity along a tau-profile (accepts tau arrays)."""
     if isinstance(profile, FixedPower):
         return capacity(profile.p, tau, profile.gamma, gains, params)
-    k = k_constant(gains, params)
-    return capacity(np.asarray(tau) * k, tau, 0.0, gains, params)
+    return capacity(p_threshold(tau, gains, params), tau, 0.0, gains, params)
 
 
 @dataclass(frozen=True)
@@ -178,7 +205,8 @@ class TauOptimum:
 
 def _maximize_profile(profile: TauProfile, gains: ChannelGains,
                       params: SystemParams) -> TauOptimum:
-    tau = float(_optimal_tau(*_profile_coefficients(profile, gains, params)))
+    _check_profile(profile, gains, params)
+    tau = float(_profile_tau(profile, gains, params))
     return TauOptimum(tau, tau in (0.0, TAU_LIMIT))
 
 
@@ -256,7 +284,7 @@ def solve_ne_arrays(gains: ChannelGains, params: SystemParams) -> NEArrays:
     gains): both sides spend their budgets and tau maximizes capacity under
     full-power jamming."""
     profile = FixedPower(params.p_max, params.gamma_max)
-    tau = _optimal_tau(*_profile_coefficients(profile, gains, params))
+    tau = _profile_tau(profile, gains, params)
     value = capacity(params.p_max, tau, params.gamma_max, gains, params)
     stable = jamming_sign(params.p_max, tau, gains, params) <= 0.0
     return NEArrays(tau, value, stable)
@@ -265,44 +293,36 @@ def solve_ne_arrays(gains: ChannelGains, params: SystemParams) -> NEArrays:
 def solve_nj_arrays(gains: ChannelGains, params: SystemParams) -> NJArrays:
     """Neutralizing optimum elementwise over gain arrays (0-d for scalar gains).
 
-    Infeasible harvesting links get value 0 with an all-zero strategy. With a
-    finite threshold slope K the optimum either rides the threshold (case a,
-    active when P/K > 1; independent of P) or is the better of two corner
-    candidates (case b): 1, the threshold optimum clipped at P/K; 2, full
-    power at the silent-jammer optimum tau raised to at least P/K, nudged by
-    ulps until tau*K >= P. Ties pick candidate 1. With gb2 == 0 every strategy neutralizes, and the candidates
-    are full power at tau = 0 and at the silent-jammer optimum.
+    Infeasible harvesting links get value 0 with an all-zero strategy.
+    Otherwise capacity along p = min(P, p_threshold(tau)) is the pointwise
+    minimum of the concave threshold and full-power profiles, so it is
+    concave in tau with its kink at P/K (0 where the threshold is unbounded).
+    Its maximizer is the threshold optimum tau_hat where tau_hat < P/K (case
+    a when P/K > 1, which makes the optimum independent of P; else case b,
+    candidate 1); otherwise it is full power at the silent-jammer optimum
+    raised to at least P/K, nudged by ulps until the threshold reaches P
+    (candidate 2, or candidate 1 when that is the kink itself).
     """
     p_max = params.p_max
     feasible = np.asarray(neutralization_feasible(gains, params))
-    unbounded = np.asarray(gains.gb2) == 0.0
-    # threshold slope, finite and >= 0: K < 0 only where infeasible (masked out)
-    k = np.where(unbounded, 0.0, np.maximum(k_constant(gains, params), 0.0))
+    # P/K, the kink: the threshold is linear in tau, K = p_threshold(0.5)/0.5
     with np.errstate(divide="ignore"):
-        p_inv = np.where(unbounded, 0.0, np.where(k > 0.0, p_max / k, math.inf))
-    case_a = p_inv > 1.0
-    t_hat = _optimal_tau(0.0, np.where(unbounded, 0.0, _threshold_beta(gains, params)))
-    t_tilde = _optimal_tau(*_profile_coefficients(FixedPower(p_max, 0.0), gains, params))
+        p_inv = np.divide(0.5 * p_max, p_threshold(0.5, gains, params))
+    t_hat = _profile_tau(OnThreshold(), gains, params)
+    t_tilde = _profile_tau(FixedPower(p_max, 0.0), gains, params)
 
-    # in case a candidate 1 is the threshold optimum itself: tau_hat*K < K < P
-    tau1 = np.minimum(t_hat, p_inv)
-    p1 = np.where(unbounded, p_max, np.minimum(tau1 * k, p_max))
-    tau2 = np.minimum(np.maximum(t_tilde, p_inv), TAU_LIMIT)
-    short = ~unbounded & (tau2 * k < p_max) & (tau2 < TAU_LIMIT)
-    while np.any(short):
-        tau2 = np.where(short, np.nextafter(tau2, 1.0), tau2)
-        short = short & (tau2 * k < p_max) & (tau2 < TAU_LIMIT)
-    v1 = capacity(p1, tau1, 0.0, gains, params)
-    v2 = capacity(p_max, tau2, 0.0, gains, params)
-
-    first = case_a | (v1 >= v2)
-    regime = np.select([~feasible, case_a, first], [0, 1, 2], 3)
-    return NJArrays(
-        p=np.where(feasible, np.where(first, p1, p_max), 0.0),
-        tau=np.where(feasible, np.where(first, tau1, tau2), 0.0),
-        value=np.where(feasible, np.where(first, v1, v2), 0.0),
-        regime=regime,
-    )
+    on_threshold = t_hat < p_inv
+    tau = np.select([~feasible, on_threshold], [0.0, t_hat],
+                    np.minimum(np.maximum(t_tilde, p_inv), TAU_LIMIT))
+    short = feasible & ~on_threshold
+    while np.any(short := short & (p_threshold(tau, gains, params) < p_max)
+                 & (tau < TAU_LIMIT)):
+        tau = np.where(short, np.nextafter(tau, 1.0), tau)
+    p = np.where(feasible, np.minimum(p_threshold(tau, gains, params), p_max), 0.0)
+    value = capacity(p, tau, 0.0, gains, params)
+    regime = np.select([~feasible, p_inv > 1.0, on_threshold | (t_tilde <= p_inv)],
+                       [0, 1, 2], 3)
+    return NJArrays(p, tau, value, regime)
 
 
 def solve_nj(gains: ChannelGains, params: SystemParams) -> EquilibriumResult:
@@ -383,15 +403,12 @@ def ne_grid_optimum(gains: ChannelGains, params: SystemParams, n: int = 100_000,
 def nj_grid_value(gains: ChannelGains, params: SystemParams, n: int = 500,
                   workers: int = 1) -> float:
     """Constrained 2-D grid oracle: best capacity over a silent jammer with
-    p <= min(P, tau*K), n points per axis; with gb2 == 0 every strategy
-    neutralizes and p ranges up to P. Returns 0 when infeasible."""
+    p <= min(P, p_threshold(tau)), n points per axis. Returns 0 when
+    infeasible."""
     if not neutralization_feasible(gains, params):
         return 0.0
     taus = np.linspace(0.0, TAU_LIMIT, n)
-    if gains.gb2 == 0.0:
-        p_cap = np.full(n, params.p_max)
-    else:
-        p_cap = np.minimum(params.p_max, taus * k_constant(gains, params))
+    p_cap = np.minimum(params.p_max, p_threshold(taus, gains, params))
     frac = np.linspace(0.0, 1.0, n)
     best = -math.inf
     for lo, hi in _chunks(n, workers):

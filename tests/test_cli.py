@@ -1,6 +1,7 @@
 import io
 import shlex
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -66,6 +67,25 @@ def test_nj_zero_efficiency_interference_free_jammer(capsys, tmp_path):
                 "--out", str(out)]) == 0
     row = out.read_text().splitlines()[-1].split(",")
     assert format(float(row[2]), ".12g") == vals["capacity_bpcu"]  # c_nj
+
+
+@pytest.mark.parametrize("argv, regime, capacity_bpcu", [
+    # 50-digit references; (p + harvest)*h2 and zeta*ga2*h2 used to overflow
+    (["nj", "--h2", "1e160", "--ga2", "1e160", "--gb2", "1e160"],
+     "NJ-case-a", "260.623407782"),
+    (["ne", "--h2", "1e160", "--ga2", "1e160", "--gb2", "1e160"],
+     "NE-tau-interior", "260.623407782"),
+    # the discarded series lanes of the closed-form tau overflow here
+    (["nj", "--h2", "1e300", "--ga2", "1", "--gb2", "0.2"],
+     "NJ-case-a", "493.858273265"),
+])
+def test_huge_gains_finite_without_warnings(capsys, argv, regime, capacity_bpcu):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 0
+    vals = _parse_kv(capsys.readouterr().out)
+    assert vals["regime"] == regime
+    assert vals["capacity_bpcu"] == capacity_bpcu
 
 
 def test_nj_infeasible_exits_2(capsys):

@@ -10,10 +10,12 @@ from ehjam import (
     NeutralizationInfeasible,
     StrategyProfile,
     SystemParams,
+    TAU_LIMIT,
     capacity,
     db_to_linear,
     harvested_power,
     jammer_best_response,
+    jamming_sign,
     k_constant,
     linear_to_db,
     neutralization_feasible,
@@ -175,6 +177,19 @@ def test_capacity_tau_one_limit():
     assert capacity(5.0, 1.0 - 1e-9, 3.0, gains, params) < 1e-6
 
 
+def test_capacity_beyond_float_range_snr():
+    # the SNR term, and with it h2/den, exceeds the float range at
+    # tau = TAU_LIMIT; 50-digit references, where the log used to read inf
+    params = SystemParams(n_a=0.1, n_b=0.2, p_max=10.0, gamma_max=10.0, zeta=1.0)
+    c = capacity(10.0, TAU_LIMIT, 0.0, ChannelGains(1e300, 1.0, 0.2), params)
+    assert c == pytest.approx(5.1606698182649592e-7, rel=1e-12)
+    c = capacity(0.0, TAU_LIMIT, 0.0, ChannelGains(1e300, 0.0, 1e-10), params)
+    assert c == pytest.approx(5.1273787617855935e-7, rel=1e-12)
+    # nothing to send, while h2/den alone overflows
+    silent = SystemParams(n_a=0.1, n_b=0.2, p_max=10.0, gamma_max=10.0, zeta=0.0)
+    assert capacity(0.0, TAU_LIMIT, 0.0, ChannelGains(1e300, 1.0, 0.2), silent) == 0.0
+
+
 def test_capacity_domain_errors():
     gains = ChannelGains(1.0, 1.0, 0.2)
     params = reference_params()
@@ -282,6 +297,37 @@ def test_threshold_unbounded_interference_free_jammer():
     assert math.isinf(p_threshold(0.5, gains, params))
     assert math.isinf(p_threshold(0.0, gains, params))
     assert p_threshold_inverse(10.0, gains, params) == 0.0
+
+
+def test_p_threshold_array_matches_scalar_calls():
+    params = reference_params()
+    # ordinary, gb2 == 0, K overflowing, infeasible (negative slope)
+    h2 = np.array([1.0, 1.0, 1.0, 0.2])
+    ga2 = np.array([1.0, 1.0, 1.0, 0.2])
+    gb2 = np.array([0.2, 0.0, 5e-324, 1.0])
+    taus = np.array([0.0, 1e-300, 0.5, TAU_LIMIT])
+    out = p_threshold(taus[:, None], ChannelGains(h2, ga2, gb2), params)
+    assert out.shape == (4, 4)
+    for i, tau in enumerate(taus):
+        for j in range(4):
+            gains = ChannelGains(h2[j], ga2[j], gb2[j])
+            assert out[i, j] == p_threshold(float(tau), gains, params)
+    assert np.all(np.isinf(out[:, 1]))  # unbounded at every tau, tau == 0 too
+    assert out[0, 2] == 0.0 and np.all(np.isinf(out[1:, 2]))
+    assert np.all(out[1:, 3] < 0.0)
+    with pytest.raises(ValueError):
+        p_threshold(np.array([0.5, 1.0]), ChannelGains(1.0, 1.0, 0.2), params)
+
+
+def test_p_threshold_unbounded_at_zero_efficiency_without_interference():
+    # zeta == 0 with gb2 == 0: jamming cannot change capacity at all, so every
+    # power neutralizes; the threshold is +inf like jamming_sign's flat answer
+    gains = ChannelGains(1.0, 1.0, 0.0)
+    params = reference_params(zeta=0.0)
+    assert k_constant(gains, params) == 0.0
+    assert math.isinf(p_threshold(0.5, gains, params))
+    assert math.isinf(p_threshold(0.0, gains, params))
+    assert jamming_sign(5.0, 0.5, gains, params) == 0.0
 
 
 # --- jammer best response ---------------------------------------------------

@@ -1,6 +1,9 @@
 """Property tests of the closed-form tau and the array solver cores over
-extreme inputs: profile coefficients from 0 to 1e13, gains of 0 or >= 1e12,
-zeta in {0, 1} and no jamming budget, next to ordinary values."""
+extreme inputs: profile coefficients from 0 to 1e13, gains of 0, subnormal
+or up to 1e300, zeta in {0, 1} and no jamming budget, next to ordinary
+values."""
+
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,6 +14,9 @@ from ehjam import (
     TAU_LIMIT,
     ChannelGains,
     SystemParams,
+    jamming_sign,
+    neutralization_feasible,
+    nj_grid_value,
     solve_ne,
     solve_ne_arrays,
     solve_nj,
@@ -85,3 +91,30 @@ def test_array_cores_match_scalar_solvers(draws, zeta, gamma_max, p_max):
         assert res.profile.legit.tau == nj.tau[i]
         assert res.value == nj.value[i]
         assert res.regime is NJ_REGIMES[nj.regime[i]]
+
+
+_WIDE_GAIN = st.one_of(st.just(0.0), _log_uniform(-320.0, 300.0))
+
+
+@_SETTINGS
+@given(
+    draws=st.lists(st.tuples(_WIDE_GAIN, _WIDE_GAIN, _WIDE_GAIN), min_size=1, max_size=4),
+    zeta=st.sampled_from([0.0, 0.3, 1.0]),
+    sir_db=st.floats(-40.0, 40.0),
+)
+def test_solvers_over_the_whole_gain_range(draws, zeta, sir_db):
+    h2, ga2, gb2 = (np.array(c) for c in zip(*draws))
+    gains = ChannelGains(h2, ga2, gb2)
+    params = SystemParams(n_a=0.1, n_b=0.2, p_max=10.0 ** (1.0 + sir_db / 10.0),
+                          gamma_max=10.0, zeta=zeta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ne = solve_ne_arrays(gains, params)
+        nj = solve_nj_arrays(gains, params)
+        sign = jamming_sign(nj.p, nj.tau, gains, params)
+        grid = [nj_grid_value(ChannelGains(*draw), params, n=64) for draw in draws]
+    assert np.all(np.isfinite(ne.value)) and np.all(np.isfinite(nj.value))
+    feasible = neutralization_feasible(gains, params)
+    assert np.all(sign[feasible] >= 0.0)  # the jammer's best response is silence
+    # the closed-form pick is never beaten by the reference grid
+    assert np.all(nj.value >= np.array(grid) - 1e-12 * np.maximum(1.0, nj.value))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from ehjam import (
     capacity,
     capacity_tau_derivative,
     jammer_best_response,
+    jamming_sign,
     k_constant,
     ne_grid_optimum,
     neutralization_feasible,
@@ -123,6 +126,18 @@ def test_tau_star_exact_for_tiny_harvesting_coefficient():
     batch = ChannelGains(np.array([1.0, 1e-14]), np.array([1.0, 1.0]), np.array([0.2, 0.2]))
     assert solve_ne_arrays(batch, params).tau[1] == opt.tau
     assert solve_ne(gains, params).profile.legit.tau == opt.tau
+
+
+@pytest.mark.parametrize("solver, gains, expected", [
+    # 50-digit stationary points; beta is 1e578, 1e305 (but h2/gb2 overflows)
+    # and 5e619, and the first and last optima used to read 0
+    (tau_hat, ChannelGains(1e287, 1e284, 1e-7), 0.00075545433405753236),
+    (tau_hat, ChannelGains(1e300, 1e-310, 1e-315), 0.0014373083979544618),
+    (tau_star, ChannelGains(1e300, 1e300, 1e-320), 0.00072556553990371293),
+])
+def test_tau_optimum_where_beta_overflows(solver, gains, expected):
+    params = SystemParams(n_a=0.1, n_b=0.2, p_max=10.0, gamma_max=10.0, zeta=1.0)
+    assert solver(gains, params).tau == pytest.approx(expected, rel=1e-12)
 
 
 # --- tau_hat / tau_tilde ----------------------------------------------------
@@ -259,6 +274,26 @@ def test_solve_nj_zero_efficiency_interference_free_jammer():
     assert res.value == capacity(params.p_max, 0.0, 0.0, gains, params)
     batch = ChannelGains(np.array([1.0, 0.5]), np.array([1.0, 1.0]), np.array([0.0, 0.2]))
     assert solve_nj_arrays(batch, params).value[0] == res.value
+
+
+@pytest.mark.parametrize("ga2, gb2", [(1.0, 5e-324), (1.0, 1e-310), (1e300, 1e-300)])
+def test_solve_nj_threshold_slope_overflow(ga2, gb2):
+    # K = ga2*n_b/gb2 overflows: the jammer barely reaches the receiver, so
+    # the answer is that of gb2 == 0, on a threshold that is unbounded for
+    # every tau > 0 (tau*K at tau == 0 used to read 0*inf = nan)
+    params = reference_params(p_max=1.0)
+    gains = ChannelGains(1.0, ga2, gb2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve_nj(gains, params)
+        legit = res.profile.legit
+        sign = jamming_sign(legit.p, legit.tau, gains, params)
+    assert res.regime is SolutionRegime.NJ_CASE_B_CANDIDATE1
+    assert res.value == solve_nj(ChannelGains(1.0, 1.0, 0.0), params).value
+    assert res.value == pytest.approx(1.29390718678, rel=1e-11)
+    assert legit.p == params.p_max
+    assert legit.tau > 0.0
+    assert sign >= 0.0
 
 
 # --- solve_ne ---------------------------------------------------------------
