@@ -83,12 +83,9 @@ def _add_shared_flags(parser, stems):
 
 
 def _add_gain_flags(parser, required):
-    parser.add_argument("--h2", type=float, required=required,
-                        help="power gain of the useful link (unitless)")
-    parser.add_argument("--ga2", type=float, required=required,
-                        help="power gain of the harvesting link (unitless)")
-    parser.add_argument("--gb2", type=float, required=required,
-                        help="power gain of the interference link (unitless)")
+    for name, link in (("h2", "useful"), ("ga2", "harvesting"), ("gb2", "interference")):
+        parser.add_argument(f"--{name}", type=float, required=required,
+                            help=f"power gain of the {link} link (unitless)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -34,10 +34,12 @@ __all__ = [
     "jamming_sign",
     "k_constant",
     "linear_to_db",
+    "log1p_snr",
     "neutralization_feasible",
     "p_threshold",
     "p_threshold_inverse",
     "profile_capacity",
+    "snr_factors",
 ]
 
 _LN2 = math.log(2.0)
@@ -97,12 +99,10 @@ class SystemParams:
     zeta: float  # harvesting efficiency in [0, 1]
 
     def __post_init__(self):
-        if not (self.n_a > 0.0 and math.isfinite(self.n_a)):
-            raise ValueError("n_a must be positive and finite")
-        if not (self.n_b > 0.0 and math.isfinite(self.n_b)):
-            raise ValueError("n_b must be positive and finite")
-        if not (self.p_max > 0.0 and math.isfinite(self.p_max)):
-            raise ValueError("p_max must be positive and finite")
+        for name in ("n_a", "n_b", "p_max"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite")
         if not (self.gamma_max >= 0.0 and math.isfinite(self.gamma_max)):
             raise ValueError("gamma_max must be >= 0 and finite")
         if not 0.0 <= self.zeta <= 1.0:
@@ -160,8 +160,36 @@ def harvested_power(tau, gamma, gains: ChannelGains, params: SystemParams):
     if np.any(t < 0.0) or np.any(t >= 1.0):
         raise ValueError("tau must lie in [0, 1)")
     _check_nonneg("gamma", gamma)
-    out = tau / (1.0 - tau) * params.zeta * (gamma * gains.ga2 + params.n_a)
+    _, lead, _ = snr_factors(0.0, gamma, gains, params)
+    out = tau / (1.0 - tau) * lead * np.maximum(gamma, 1.0)  # undo the division
     return float(out) if np.ndim(out) == 0 else out
+
+
+def snr_factors(p, gamma, gains: ChannelGains, params: SystemParams):
+    """(p', lead, den), elementwise, with SNR (p' + tau*lead)*h2/((1-tau)*den).
+
+    The one place that forms the transmit term p, the harvestable term
+    zeta*(gamma*ga2 + n_a) and the interference-plus-noise term gamma*gb2 +
+    n_b, each divided by max(gamma, 1) so gamma times a gain stays finite.
+    """
+    scale = np.maximum(gamma, 1.0)
+    share = gamma / scale  # min(gamma, 1), exactly
+    return (p / scale, params.zeta * (share * gains.ga2 + params.n_a / scale),
+            share * gains.gb2 + params.n_b / scale)
+
+
+def log1p_snr(x, h2, den):
+    """ln(1 + x*h2/den) elementwise. h2/den is formed first, since x*h2
+    overflows for gains near 1e160; where the SNR or h2/den leaves the float
+    range, the log is summed from logarithms."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        snr = x * (h2 / den)
+        out = np.log1p(snr)
+        over = ~np.isfinite(snr)
+        if np.any(over):
+            log_snr = np.log(x) + np.log(h2) - np.log(den)
+            out = np.where(over, np.logaddexp(0.0, log_snr), out)
+    return out
 
 
 def capacity(p, tau, gamma, gains: ChannelGains, params: SystemParams):
@@ -178,17 +206,11 @@ def capacity(p, tau, gamma, gains: ChannelGains, params: SystemParams):
     if np.any(t < 0.0) or np.any(t > 1.0):
         raise ValueError("tau must lie in [0, 1]")
     remain = 1.0 - np.asarray(tau, dtype=float)
-    den = remain * (gamma * gains.gb2 + params.n_b)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # h2/den first: (p + harvest)*h2 overflows for gains near 1e160
-        num = p + tau * params.zeta * (gamma * gains.ga2 + params.n_a)
-        snr = num * (gains.h2 / den)
-        log1p_snr = np.log1p(snr)
-        over = ~np.isfinite(snr)
-        if np.any(over):  # snr or h2/den beyond the float range: sum logs
-            log_snr = np.log(num) + np.log(gains.h2) - np.log(den)
-            log1p_snr = np.where(over, np.logaddexp(0.0, log_snr), log1p_snr)
-        c = remain / 2.0 * log1p_snr / _LN2
+    p, lead, den = snr_factors(p, gamma, gains, params)
+    num, den = p + tau * lead, remain * den
+    del lead  # a draw-sized factor: free it before the log's temporaries
+    with np.errstate(invalid="ignore"):  # the remain == 0 lanes, set below
+        c = remain / 2.0 * log1p_snr(num, gains.h2, den) / _LN2
     out = np.where(remain == 0.0, 0.0, c)
     return float(out) if np.ndim(out) == 0 else out
 

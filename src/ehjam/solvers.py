@@ -5,12 +5,14 @@ Every one-dimensional profile handled here reduces to the same family
 ``C(tau) = (1-tau)/2 * log2(1 + (alpha + beta*tau)/(1-tau))`` whose second
 derivative is ``-(alpha+beta)^2 / (2 ln2 (1-tau) D^2) <= 0``: the profiles
 are concave in tau, and the stationary point has a closed form in the
-Lambert W function (Corless et al., "On the Lambert W function", 1996), so
-no root finding is needed. The neutralizing optimum rides
-p = min(P, p_threshold(tau)); capacity along that path is the pointwise
-minimum of two such concave profiles, hence concave itself (Boyd and
-Vandenberghe, "Convex Optimization", 2004, sec. 3.2.3), so its maximizer
-follows from the two profile optima and the kink without comparing values.
+Lambert W function (Corless et al., "On the Lambert W function", 1996), or
+where beta leaves the float range in the Wright omega function (Lawrence,
+Corless and Jeffrey, ACM TOMS 38(3), 2012), so no root finding is needed.
+The neutralizing optimum rides p = min(P, p_threshold(tau)); capacity along
+that path is the pointwise minimum of two such concave profiles, hence
+concave itself (Boyd and Vandenberghe, "Convex Optimization", 2004, sec.
+3.2.3), so its maximizer follows from the two profile optima and the kink
+without comparing values.
 
 One array core per operating point (solve_ne_arrays, solve_nj_arrays) works
 elementwise over gain arrays; the scalar solvers are its 0-d case.
@@ -24,7 +26,7 @@ from enum import Enum
 from typing import NamedTuple, Union
 
 import numpy as np
-from scipy.special import lambertw
+from scipy.special import lambertw, wrightomega
 
 from .model import (
     TAU_LIMIT,
@@ -35,9 +37,11 @@ from .model import (
     SystemParams,
     capacity,
     jamming_sign,
+    log1p_snr,
     neutralization_feasible,
     p_threshold,
     profile_capacity,
+    snr_factors,
 )
 
 __all__ = [
@@ -63,8 +67,6 @@ __all__ = [
     "tau_tilde",
     "verify_saddle_point",
 ]
-
-_LN2 = math.log(2.0)
 
 #: The optimal EH fraction is 0 wherever the profile derivative is <= 0 here.
 _TAU_PROBE = 1e-6
@@ -93,8 +95,7 @@ TauProfile = Union[FixedPower, OnThreshold]
 def _profile_factors(profile: TauProfile, gains: ChannelGains, params: SystemParams):
     """(p, lead, den) of a tau-profile: alpha = p*h2/den and beta = lead*h2/den."""
     if isinstance(profile, FixedPower):
-        return (profile.p, params.zeta * (profile.gamma * gains.ga2 + params.n_a),
-                profile.gamma * gains.gb2 + params.n_b)
+        return snr_factors(profile.p, profile.gamma, gains, params)
     if isinstance(profile, OnThreshold):
         return 0.0, params.zeta * gains.ga2, np.asarray(gains.gb2, dtype=float)
     raise TypeError(f"unknown tau-profile: {profile!r}")
@@ -114,7 +115,7 @@ def _tau_derivative(tau, alpha, beta):
     """d/dtau of the canonical profile capacity, in bits per channel use."""
     x = (alpha + beta * tau) / (1.0 - tau)
     d = (1.0 - tau) + alpha + beta * tau
-    return (-np.log1p(x) + (alpha + beta) / d) / (2.0 * _LN2)
+    return (-np.log1p(x) + (alpha + beta) / d) / math.log(4.0)  # 2 ln 2
 
 
 def _optimal_tau(alpha, beta):
@@ -151,9 +152,9 @@ def _profile_tau(profile: TauProfile, gains: ChannelGains, params: SystemParams)
     """_optimal_tau of a tau-profile, elementwise, also where alpha or beta
     exceed the float range (gb2 == 0 on the threshold profile gives 0).
 
-    Where lead*h2/den overflows, beta is formed from its logarithm L; where
-    it is beyond the float range, s >> 1 and W0 solves w + log(w) = L - 1,
-    so s/beta = 1/w and tau = (1 - w*alpha/beta)/(1 + w).
+    Where lead*h2/den overflows, beta is formed from L = ln(1 + beta) = ln(beta);
+    beyond the float range, s >> 1, s/beta = 1/w with w = omega(L - 1) the Wright
+    omega function (w + log(w) = L - 1), and tau = (1 - w*alpha/beta)/(1 + w).
     """
     p, lead, den = _profile_factors(profile, gains, params)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -162,13 +163,11 @@ def _profile_tau(profile: TauProfile, gains: ChannelGains, params: SystemParams)
         over = np.isinf(beta) & (den > 0.0)
         if not np.any(over):
             return _optimal_tau(alpha, beta)
-        log_beta = np.log(lead) + np.log(gains.h2) - np.log(den)
+        log_beta = log1p_snr(lead, gains.h2, den)
         beta = np.where(over, np.exp(log_beta), beta)
         ratio = p / lead
         tau = _optimal_tau(np.where(over, ratio * beta, alpha), beta)
-        w = log_beta - 1.0
-        for _ in range(5):  # a contraction by 1/w < 1/700
-            w = log_beta - 1.0 - np.log(w)
+        w = wrightomega(log_beta - 1.0)
         tau_huge = np.clip((1.0 - ratio * w) / (1.0 + w), 0.0, TAU_LIMIT)
     return np.where(over & np.isinf(beta), tau_huge, tau)
 
@@ -377,42 +376,24 @@ def verify_saddle_point(profile: StrategyProfile, gains: ChannelGains,
     return worst <= tol, worst
 
 
-def _chunks(n: int, workers: int):
-    workers = max(1, min(int(workers), n))
-    step = -(-n // workers)
-    return [(i, min(i + step, n)) for i in range(0, n, step)]
-
-
 def ne_grid_optimum(gains: ChannelGains, params: SystemParams, n: int = 100_000,
                     workers: int = 1):
-    """Dense-grid argmax of capacity at full powers; independent check of tau_star.
-
-    The workers hint only chunks the evaluation; the reduction is index-ordered,
-    so the result is identical for any worker count.
-    """
+    """Dense-grid argmax of capacity at full powers, in one vectorized pass
+    (workers has no effect); independent check of tau_star."""
     taus = np.linspace(0.0, TAU_LIMIT, n)
-    best_idx, best_val = 0, -math.inf
-    for lo, hi in _chunks(n, workers):
-        vals = capacity(params.p_max, taus[lo:hi], params.gamma_max, gains, params)
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_idx, best_val = lo + i, float(vals[i])
-    return float(taus[best_idx]), best_val
+    vals = capacity(params.p_max, taus, params.gamma_max, gains, params)
+    i = int(np.argmax(vals))
+    return float(taus[i]), float(vals[i])
 
 
 def nj_grid_value(gains: ChannelGains, params: SystemParams, n: int = 500,
                   workers: int = 1) -> float:
     """Constrained 2-D grid oracle: best capacity over a silent jammer with
-    p <= min(P, p_threshold(tau)), n points per axis. Returns 0 when
-    infeasible."""
+    p <= min(P, p_threshold(tau)), n points per axis, in one vectorized pass
+    (workers has no effect). Returns 0 when infeasible."""
     if not neutralization_feasible(gains, params):
         return 0.0
     taus = np.linspace(0.0, TAU_LIMIT, n)
     p_cap = np.minimum(params.p_max, p_threshold(taus, gains, params))
-    frac = np.linspace(0.0, 1.0, n)
-    best = -math.inf
-    for lo, hi in _chunks(n, workers):
-        p_grid = frac[:, None] * p_cap[None, lo:hi]
-        vals = capacity(p_grid, taus[None, lo:hi], 0.0, gains, params)
-        best = max(best, float(np.max(vals)))
-    return best
+    p_grid = np.linspace(0.0, 1.0, n)[:, None] * p_cap[None, :]
+    return float(np.max(capacity(p_grid, taus[None, :], 0.0, gains, params)))

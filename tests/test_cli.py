@@ -78,6 +78,10 @@ def test_nj_zero_efficiency_interference_free_jammer(capsys, tmp_path):
     # the discarded series lanes of the closed-form tau overflow here
     (["nj", "--h2", "1e300", "--ga2", "1", "--gb2", "0.2"],
      "NJ-case-a", "493.858273265"),
+    # the jamming budget times ga2 leaves the float range; 50-digit reference
+    # tau* = 0.050338833240527694, C = 13.608494321187516
+    (["ne", "--gamma-mw", "1e300", "--h2", "1", "--ga2", "1e10", "--gb2", "1"],
+     "NE-tau-interior", "13.6084943212"),
 ])
 def test_huge_gains_finite_without_warnings(capsys, argv, regime, capacity_bpcu):
     with warnings.catch_warnings():
@@ -245,6 +249,16 @@ def test_verify_fails_with_impossible_tolerance(capsys):
                 "--legit-grid", "40", "--jammer-grid", "40", "--tol", "-1"])
     assert code == 3
     assert "result=fail" in capsys.readouterr().out
+
+
+def test_verify_rejects_zero_sets(capsys):
+    assert run(["verify", "--sets", "0"]) == 1
+    assert "--sets must be >= 1" in capsys.readouterr().err
+
+
+def test_sweep_rejects_infinite_sir(tmp_path, capsys):
+    assert run(["sweep", "--sir-start-db", "inf", "--out", str(tmp_path / "s.csv")]) == 1
+    assert "SIR range must be finite" in capsys.readouterr().err
 
 
 def test_help_lists_flags_with_units(capsys):

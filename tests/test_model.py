@@ -190,6 +190,18 @@ def test_capacity_beyond_float_range_snr():
     assert capacity(0.0, TAU_LIMIT, 0.0, ChannelGains(1e300, 1.0, 0.2), silent) == 0.0
 
 
+def test_capacity_jamming_budget_times_gain_beyond_float_range():
+    # gamma*ga2 = 1e310; 50-digit references, where capacity used to read
+    # nan at tau = 0 and inf at tau = 0.5
+    gains = ChannelGains(1.0, 1e10, 1.0)
+    params = SystemParams(n_a=0.1, n_b=db_to_linear(-7.0), p_max=1.0,
+                          gamma_max=1e300, zeta=0.8)
+    c = capacity(1.0, 0.0, 1e300, gains, params)
+    assert c == pytest.approx(7.2134752044448166581e-301, rel=1e-12)
+    c = capacity(1.0, 0.5, 1e300, gains, params)
+    assert c == pytest.approx(8.2243382135416495228, rel=1e-12)
+
+
 def test_capacity_domain_errors():
     gains = ChannelGains(1.0, 1.0, 0.2)
     params = reference_params()

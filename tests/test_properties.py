@@ -1,7 +1,7 @@
 """Property tests of the closed-form tau and the array solver cores over
 extreme inputs: profile coefficients from 0 to 1e13, gains of 0, subnormal
-or up to 1e300, zeta in {0, 1} and no jamming budget, next to ordinary
-values."""
+or up to 1e300, zeta in {0, 1} and jamming budgets from 0 to 1e300, next to
+ordinary values."""
 
 import warnings
 
@@ -14,7 +14,9 @@ from ehjam import (
     TAU_LIMIT,
     ChannelGains,
     SystemParams,
+    capacity,
     jamming_sign,
+    ne_grid_optimum,
     neutralization_feasible,
     nj_grid_value,
     solve_ne,
@@ -118,3 +120,31 @@ def test_solvers_over_the_whole_gain_range(draws, zeta, sir_db):
     assert np.all(sign[feasible] >= 0.0)  # the jammer's best response is silence
     # the closed-form pick is never beaten by the reference grid
     assert np.all(nj.value >= np.array(grid) - 1e-12 * np.maximum(1.0, nj.value))
+
+
+@_SETTINGS
+@given(
+    draws=st.lists(st.tuples(_WIDE_GAIN, _WIDE_GAIN, _WIDE_GAIN), min_size=1, max_size=4),
+    gamma_max=st.one_of(st.just(0.0), _log_uniform(-300.0, 300.0)),
+    zeta=st.sampled_from([0.0, 0.3, 1.0]),
+    sir_db=st.floats(-40.0, 40.0),
+)
+def test_solvers_over_the_whole_jamming_budget_range(draws, gamma_max, zeta, sir_db):
+    # noise powers stay near 1 mW: n_b/gamma_max does not underflow here
+    h2, ga2, gb2 = (np.array(c) for c in zip(*draws))
+    gains = ChannelGains(h2, ga2, gb2)
+    params = SystemParams(n_a=0.1, n_b=0.2, p_max=10.0 ** (1.0 + sir_db / 10.0),
+                          gamma_max=gamma_max, zeta=zeta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ne = solve_ne_arrays(gains, params)
+        nj = solve_nj_arrays(gains, params)
+        caps = [capacity(params.p_max, tau, gamma_max, gains, params)
+                for tau in (0.0, 0.5, TAU_LIMIT)]
+        grid = [ne_grid_optimum(ChannelGains(*draw), params, n=64)[1] for draw in draws]
+    for arr in (ne.tau, ne.value, nj.p, nj.tau, nj.value, *caps):
+        assert np.all(np.isfinite(arr))
+    # the closed-form optimum is never beaten by the reference grid, and
+    # full-power jamming never leaves the link worse off than neutralizing it
+    assert np.all(ne.value >= np.array(grid) - 1e-12 * np.maximum(1.0, ne.value))
+    assert np.all(nj.value <= ne.value + 1e-9 * np.maximum(1.0, ne.value))

@@ -13,6 +13,7 @@ from ehjam import (
     SystemParams,
     capacity,
     capacity_tau_derivative,
+    db_to_linear,
     jammer_best_response,
     jamming_sign,
     k_constant,
@@ -75,6 +76,8 @@ def test_derivative_domain_and_profile_errors():
         capacity_tau_derivative(OnThreshold(), 0.5, ChannelGains(0.2, 0.2, 1.0), params)
     with pytest.raises(ValueError):
         capacity_tau_derivative(OnThreshold(), 0.5, ChannelGains(1.0, 1.0, 0.0), params)
+    with pytest.raises(TypeError, match="unknown tau-profile"):
+        capacity_tau_derivative(object(), 0.5, gains, params)
 
 
 def test_derivative_vanishes_at_returned_roots():
@@ -433,6 +436,18 @@ def test_grid_oracles_worker_hint_is_result_invariant():
         ne_grid_optimum(gains, params, n=10_001, workers=4)
     assert nj_grid_value(gains, params, n=200, workers=1) == \
         nj_grid_value(gains, params, n=200, workers=3)
+
+
+def test_ne_grid_optimum_finite_where_jamming_budget_times_gain_overflows():
+    # gamma*ga2 = 1e310; the grid used to read (0.0, -inf)
+    gains = ChannelGains(1.0, 1e10, 1.0)
+    params = SystemParams(n_a=0.1, n_b=db_to_linear(-7.0), p_max=1.0,
+                          gamma_max=1e300, zeta=0.8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tau, value = ne_grid_optimum(gains, params, n=1001)
+    assert np.isfinite(value) and tau > 0.0
+    assert value <= solve_ne(gains, params).value
 
 
 def test_nj_grid_value_zero_when_infeasible():
