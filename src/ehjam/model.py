@@ -32,12 +32,10 @@ __all__ = [
     "harvested_power",
     "jammer_best_response",
     "jamming_sign",
-    "k_constant",
     "linear_to_db",
     "log1p_snr",
     "neutralization_feasible",
     "p_threshold",
-    "p_threshold_inverse",
     "profile_capacity",
     "snr_factors",
 ]
@@ -57,7 +55,11 @@ def db_to_linear(x_db):
     """Convert dB (or dBm) to a linear ratio (or mW): ``10**(x/10)``."""
     if not np.all(np.isfinite(x_db)):
         raise ValueError("decibel value must be finite")
-    return 10.0 ** (x_db / 10.0)
+    try:
+        with np.errstate(over="raise"):
+            return 10.0 ** (x_db / 10.0)
+    except (OverflowError, FloatingPointError):
+        raise ValueError("decibel value out of range") from None
 
 
 def linear_to_db(x):
@@ -220,26 +222,10 @@ def profile_capacity(profile: StrategyProfile, gains: ChannelGains, params: Syst
     return capacity(profile.legit.p, profile.legit.tau, profile.gamma, gains, params)
 
 
-def k_constant(gains: ChannelGains, params: SystemParams):
-    """Slope (mW per unit tau) of the neutralization power threshold.
-
-    ``K = (ga2*n_b/gb2 - n_a) * zeta``. Positive exactly when harvesting
-    beats interference (and zeta > 0); zero or negative means the threshold
-    never opens up. gb2 == 0 with zeta > 0 returns ``math.inf``: the jammer
-    cannot hurt the receiver at all, so no finite power exceeds the threshold.
-    Elementwise over gain arrays.
-    """
-    gb2 = np.asarray(gains.gb2, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = (gains.ga2 * params.n_b / gb2 - params.n_a) * params.zeta
-    k = np.where(params.zeta == 0.0, 0.0, np.where(gb2 == 0.0, math.inf, k))
-    return float(k) if k.ndim == 0 else k
-
-
 def neutralization_feasible(gains: ChannelGains, params: SystemParams):
     """True when the harvesting link is strictly better than the jamming link,
-    i.e. ga2/n_a > gb2/n_b. Equivalent to k_constant > 0 whenever zeta > 0.
-    Elementwise over gain arrays."""
+    i.e. ga2/n_a > gb2/n_b. Equivalent to a positive slope K of p_threshold
+    whenever zeta > 0. Elementwise over gain arrays."""
     return gains.ga2 * params.n_b > gains.gb2 * params.n_a
 
 
@@ -247,35 +233,22 @@ def p_threshold(tau, gains: ChannelGains, params: SystemParams):
     """Largest transmit power at which more jamming still helps the link,
     elementwise over tau and gain arrays.
 
-    Linear in the EH fraction: ``tau * K``, and the one place that product is
-    formed. Unbounded rule: +inf at every tau where gb2 == 0 (the jammer
-    cannot reach the receiver, so every power neutralizes, zeta == 0
-    included), +inf for tau > 0 where K overflows, and 0 at tau == 0
-    otherwise.
+    Linear in the EH fraction: ``tau * K`` with the slope (mW per unit tau)
+    ``K = (ga2*n_b/gb2 - n_a) * zeta``, 0 when zeta == 0, and the one place K
+    and that product are formed. Unbounded rule: +inf at every tau where
+    gb2 == 0 (the jammer cannot reach the receiver, so every power
+    neutralizes, zeta == 0 included), +inf for tau > 0 where K overflows, and
+    0 at tau == 0 otherwise.
     """
     t = np.asarray(tau, dtype=float)
     if np.any(t < 0.0) or np.any(t >= 1.0):
         raise ValueError("tau must lie in [0, 1)")
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = t * k_constant(gains, params)
-    p = np.where(np.asarray(gains.gb2) == 0.0, math.inf, np.where(t == 0.0, 0.0, p))
+    gb2 = np.asarray(gains.gb2, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        k = (gains.ga2 * params.n_b / gb2 - params.n_a) * params.zeta
+        p = t * np.where(params.zeta == 0.0, 0.0, k)
+    p = np.where(gb2 == 0.0, math.inf, np.where(t == 0.0, 0.0, p))
     return float(p) if p.ndim == 0 else p
-
-
-def p_threshold_inverse(p, gains: ChannelGains, params: SystemParams) -> float:
-    """Smallest EH fraction whose threshold reaches power p: ``p / K``.
-
-    May exceed 1, meaning no admissible EH fraction reaches p. Requires a
-    positive threshold slope; otherwise the notion is empty.
-    """
-    if p < 0.0:
-        raise ValueError("p must be >= 0")
-    k = k_constant(gains, params)
-    if k <= 0.0:
-        raise NeutralizationInfeasible(
-            "threshold slope is not positive; no power threshold to invert"
-        )
-    return p / k
 
 
 def jamming_sign(p, tau, gains: ChannelGains, params: SystemParams):

@@ -52,7 +52,6 @@ __all__ = [
     "NJ_REGIMES",
     "OnThreshold",
     "SolutionRegime",
-    "TauOptimum",
     "TauProfile",
     "capacity_tau_derivative",
     "ne_grid_optimum",
@@ -61,10 +60,7 @@ __all__ = [
     "solve_ne_arrays",
     "solve_nj",
     "solve_nj_arrays",
-    "tau_hat",
     "tau_profile_capacity",
-    "tau_star",
-    "tau_tilde",
     "verify_saddle_point",
 ]
 
@@ -96,19 +92,19 @@ def _profile_factors(profile: TauProfile, gains: ChannelGains, params: SystemPar
     """(p, lead, den) of a tau-profile: alpha = p*h2/den and beta = lead*h2/den."""
     if isinstance(profile, FixedPower):
         return snr_factors(profile.p, profile.gamma, gains, params)
-    if isinstance(profile, OnThreshold):
-        return 0.0, params.zeta * gains.ga2, np.asarray(gains.gb2, dtype=float)
-    raise TypeError(f"unknown tau-profile: {profile!r}")
+    return 0.0, params.zeta * gains.ga2, np.asarray(gains.gb2, dtype=float)
 
 
 def _check_profile(profile: TauProfile, gains: ChannelGains, params: SystemParams):
-    if isinstance(profile, OnThreshold):
-        if not neutralization_feasible(gains, params):
-            raise NeutralizationInfeasible(
-                "threshold profile requires ga2/n_a > gb2/n_b"
-            )
-        if np.any(np.asarray(gains.gb2) == 0.0):
-            raise ValueError("threshold profile is undefined when gb2 == 0")
+    """Raise unless capacity along the tau-profile is defined for these gains."""
+    if isinstance(profile, FixedPower):
+        return
+    if not isinstance(profile, OnThreshold):
+        raise TypeError(f"unknown tau-profile: {profile!r}")
+    if not neutralization_feasible(gains, params):
+        raise NeutralizationInfeasible("threshold profile requires ga2/n_a > gb2/n_b")
+    if np.any(np.asarray(gains.gb2) == 0.0):
+        raise ValueError("threshold profile is undefined when gb2 == 0")
 
 
 def _tau_derivative(tau, alpha, beta):
@@ -188,44 +184,10 @@ def capacity_tau_derivative(profile: TauProfile, tau, gains: ChannelGains,
 def tau_profile_capacity(profile: TauProfile, tau, gains: ChannelGains,
                          params: SystemParams):
     """Capacity along a tau-profile (accepts tau arrays)."""
+    _check_profile(profile, gains, params)
     if isinstance(profile, FixedPower):
         return capacity(profile.p, tau, profile.gamma, gains, params)
     return capacity(p_threshold(tau, gains, params), tau, 0.0, gains, params)
-
-
-@dataclass(frozen=True)
-class TauOptimum:
-    """Maximizer of a concave tau-profile over [0, TAU_LIMIT]; boundary is
-    True when it sits on an end of that interval."""
-
-    tau: float
-    boundary: bool
-
-
-def _maximize_profile(profile: TauProfile, gains: ChannelGains,
-                      params: SystemParams) -> TauOptimum:
-    _check_profile(profile, gains, params)
-    tau = float(_profile_tau(profile, gains, params))
-    return TauOptimum(tau, tau in (0.0, TAU_LIMIT))
-
-
-def tau_hat(gains: ChannelGains, params: SystemParams) -> TauOptimum:
-    """EH fraction maximizing capacity while riding the neutralization threshold."""
-    return _maximize_profile(OnThreshold(), gains, params)
-
-
-def tau_tilde(gains: ChannelGains, params: SystemParams) -> TauOptimum:
-    """EH fraction maximizing capacity at full transmit power, jammer silent."""
-    if not neutralization_feasible(gains, params):
-        raise NeutralizationInfeasible(
-            "silent-jammer profile is only used when neutralization is feasible"
-        )
-    return _maximize_profile(FixedPower(params.p_max, 0.0), gains, params)
-
-
-def tau_star(gains: ChannelGains, params: SystemParams) -> TauOptimum:
-    """EH fraction maximizing capacity with both powers at their budgets."""
-    return _maximize_profile(FixedPower(params.p_max, params.gamma_max), gains, params)
 
 
 class SolutionRegime(Enum):
@@ -296,11 +258,11 @@ def solve_nj_arrays(gains: ChannelGains, params: SystemParams) -> NJArrays:
     Otherwise capacity along p = min(P, p_threshold(tau)) is the pointwise
     minimum of the concave threshold and full-power profiles, so it is
     concave in tau with its kink at P/K (0 where the threshold is unbounded).
-    Its maximizer is the threshold optimum tau_hat where tau_hat < P/K (case
-    a when P/K > 1, which makes the optimum independent of P; else case b,
+    Its maximizer is the threshold optimum t_hat where t_hat < P/K (case a
+    when P/K > 1, which makes the optimum independent of P; else case b,
     candidate 1); otherwise it is full power at the silent-jammer optimum
-    raised to at least P/K, nudged by ulps until the threshold reaches P
-    (candidate 2, or candidate 1 when that is the kink itself).
+    t_tilde raised to at least P/K, nudged by ulps until the threshold
+    reaches P (candidate 2, or candidate 1 when that is the kink itself).
     """
     p_max = params.p_max
     feasible = np.asarray(neutralization_feasible(gains, params))
@@ -379,7 +341,7 @@ def verify_saddle_point(profile: StrategyProfile, gains: ChannelGains,
 def ne_grid_optimum(gains: ChannelGains, params: SystemParams, n: int = 100_000,
                     workers: int = 1):
     """Dense-grid argmax of capacity at full powers, in one vectorized pass
-    (workers has no effect); independent check of tau_star."""
+    (workers has no effect); independent check of solve_ne's tau."""
     taus = np.linspace(0.0, TAU_LIMIT, n)
     vals = capacity(params.p_max, taus, params.gamma_max, gains, params)
     i = int(np.argmax(vals))

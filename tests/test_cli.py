@@ -261,6 +261,14 @@ def test_sweep_rejects_infinite_sir(tmp_path, capsys):
     assert "SIR range must be finite" in capsys.readouterr().err
 
 
+def test_decibel_overflow_exits_1(tmp_path, capsys):
+    assert run(["ne", "--p-dbm", "4000", "--h2", "1", "--ga2", "1", "--gb2", "0.2"]) == 1
+    assert "ehjam: error: decibel value out of range" in capsys.readouterr().err
+    assert run(["sweep", "--sir-start-db", "3990", "--sir-stop-db", "4000",
+                "--out", str(tmp_path / "s.csv")]) == 1
+    assert "ehjam: error: decibel value out of range" in capsys.readouterr().err
+
+
 def test_help_lists_flags_with_units(capsys):
     assert run(["sweep", "--help"]) == 0
     out = capsys.readouterr().out

@@ -7,7 +7,6 @@ from ehjam import (
     ChannelGains,
     JammerRegime,
     LegitStrategy,
-    NeutralizationInfeasible,
     StrategyProfile,
     SystemParams,
     TAU_LIMIT,
@@ -16,11 +15,9 @@ from ehjam import (
     harvested_power,
     jammer_best_response,
     jamming_sign,
-    k_constant,
     linear_to_db,
     neutralization_feasible,
     p_threshold,
-    p_threshold_inverse,
     profile_capacity,
 )
 from helpers import NB_MW, random_gains, reference_params
@@ -52,6 +49,14 @@ def test_db_to_linear_rejects_non_finite():
         db_to_linear(math.nan)
     with pytest.raises(ValueError):
         db_to_linear(math.inf)
+
+
+def test_db_to_linear_rejects_overflow():
+    assert db_to_linear(3080.0) == 1e308
+    with pytest.raises(ValueError, match="decibel value out of range"):
+        db_to_linear(4000.0)
+    with pytest.raises(ValueError, match="decibel value out of range"):
+        db_to_linear(np.array([0.0, 4000.0]))
 
 
 def test_linear_to_db_rejects_nonpositive():
@@ -253,21 +258,26 @@ def test_profile_capacity_matches_capacity():
 # --- threshold machinery ----------------------------------------------------
 
 def test_k_constant_values():
+    # the threshold at tau = 1/2 is K/2 with K = (ga2*n_b/gb2 - n_a)*zeta
     params = reference_params()
-    assert k_constant(ChannelGains(1.0, 1.0, 0.2), params) == pytest.approx(
-        0.7181049259875519, rel=1e-14)
-    assert k_constant(ChannelGains(0.2, 0.2, 1.0), params) == pytest.approx(
-        -0.04807580296049793, rel=1e-14)
+    assert p_threshold(0.5, ChannelGains(1.0, 1.0, 0.2), params) == pytest.approx(
+        0.35905246299377597, rel=1e-14)
+    assert p_threshold(0.5, ChannelGains(0.2, 0.2, 1.0), params) == pytest.approx(
+        -0.024037901480248966, rel=1e-14)
 
 
 def test_k_constant_zero_efficiency():
     params = reference_params(zeta=0.0)
-    assert k_constant(ChannelGains(1.0, 5.0, 0.1), params) == 0.0
-    assert k_constant(ChannelGains(1.0, 5.0, 0.0), params) == 0.0
+    assert p_threshold(0.5, ChannelGains(1.0, 5.0, 0.1), params) == 0.0
+    # ga2*n_b/gb2 overflows; zeta == 0 still gives K = 0, not inf*0 = nan
+    assert p_threshold(0.5, ChannelGains(1.0, 5.0, 1e-320), params) == 0.0
 
 
 def test_k_constant_unbounded_when_receiver_unreachable():
-    assert math.isinf(k_constant(ChannelGains(1.0, 1.0, 0.0), reference_params()))
+    # K = +inf, so the kink P/K that solve_nj_arrays reads is 0
+    gains = ChannelGains(1.0, 1.0, 0.0)
+    params = reference_params()
+    assert 0.5 * params.p_max / p_threshold(0.5, gains, params) == 0.0
 
 
 def test_neutralization_feasible_examples():
@@ -283,24 +293,10 @@ def test_neutralization_feasible_examples():
 def test_p_threshold_examples():
     gains = ChannelGains(1.0, 1.0, 0.2)
     params = reference_params()
-    k = k_constant(gains, params)
     assert p_threshold(0.0, gains, params) == 0.0
-    assert p_threshold(0.5, gains, params) == pytest.approx(0.5 * k, rel=0)
-    assert p_threshold(0.5, gains, params) == pytest.approx(0.3590524629937759, rel=1e-12)
+    assert p_threshold(0.5, gains, params) == 0.35905246299377597
     with pytest.raises(ValueError):
         p_threshold(1.0, gains, params)
-
-
-def test_p_threshold_inverse_examples():
-    gains = ChannelGains(1.0, 1.0, 0.2)
-    params = reference_params()
-    inv = p_threshold_inverse(10.0, gains, params)
-    assert inv == pytest.approx(13.925541572142546, rel=1e-12)
-    assert inv > 1.0
-    with pytest.raises(NeutralizationInfeasible):
-        p_threshold_inverse(1.0, ChannelGains(0.2, 0.2, 1.0), params)
-    with pytest.raises(ValueError):
-        p_threshold_inverse(-1.0, gains, params)
 
 
 def test_threshold_unbounded_interference_free_jammer():
@@ -308,7 +304,6 @@ def test_threshold_unbounded_interference_free_jammer():
     params = reference_params()
     assert math.isinf(p_threshold(0.5, gains, params))
     assert math.isinf(p_threshold(0.0, gains, params))
-    assert p_threshold_inverse(10.0, gains, params) == 0.0
 
 
 def test_p_threshold_array_matches_scalar_calls():
@@ -336,7 +331,7 @@ def test_p_threshold_unbounded_at_zero_efficiency_without_interference():
     # power neutralizes; the threshold is +inf like jamming_sign's flat answer
     gains = ChannelGains(1.0, 1.0, 0.0)
     params = reference_params(zeta=0.0)
-    assert k_constant(gains, params) == 0.0
+    assert p_threshold(0.5, ChannelGains(1.0, 1.0, 0.2), params) == 0.0  # K == 0
     assert math.isinf(p_threshold(0.5, gains, params))
     assert math.isinf(p_threshold(0.0, gains, params))
     assert jamming_sign(5.0, 0.5, gains, params) == 0.0

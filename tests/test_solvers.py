@@ -16,7 +16,6 @@ from ehjam import (
     db_to_linear,
     jammer_best_response,
     jamming_sign,
-    k_constant,
     ne_grid_optimum,
     neutralization_feasible,
     nj_grid_value,
@@ -26,13 +25,11 @@ from ehjam import (
     solve_ne_arrays,
     solve_nj,
     solve_nj_arrays,
-    tau_hat,
     tau_profile_capacity,
-    tau_star,
-    tau_tilde,
     verify_saddle_point,
 )
 from ehjam.model import TAU_LIMIT
+from ehjam.solvers import _profile_tau
 from helpers import (
     consistent_instances,
     feasible_instances,
@@ -80,6 +77,24 @@ def test_derivative_domain_and_profile_errors():
         capacity_tau_derivative(object(), 0.5, gains, params)
 
 
+def test_tau_profile_capacity_validates_profile():
+    params = reference_params()
+    with pytest.raises(TypeError, match="unknown tau-profile"):
+        tau_profile_capacity(object(), 0.5, ChannelGains(1.0, 1.0, 0.2), params)
+    with pytest.raises(ValueError, match="undefined when gb2 == 0"):
+        tau_profile_capacity(OnThreshold(), 0.5, ChannelGains(1.0, 1.0, 0.0), params)
+    with pytest.raises(NeutralizationInfeasible):
+        tau_profile_capacity(OnThreshold(), 0.5, ChannelGains(0.2, 0.2, 1.0), params)
+
+
+def _tau_profiles(params):
+    """The tau-profiles behind the paper's three optima, by symbol: the
+    threshold optimum, the silent-jammer optimum and the full-power one."""
+    return {"tau_hat": OnThreshold(),
+            "tau_tilde": FixedPower(params.p_max, 0.0),
+            "tau_star": FixedPower(params.p_max, params.gamma_max)}
+
+
 def test_derivative_vanishes_at_returned_roots():
     rng = np.random.default_rng(11)
     count = 0
@@ -89,14 +104,10 @@ def test_derivative_vanishes_at_returned_roots():
         if not neutralization_feasible(gains, params) or gains.h2 == 0:
             continue
         count += 1
-        for solver, prof in (
-            (tau_hat, OnThreshold()),
-            (tau_tilde, FixedPower(params.p_max, 0.0)),
-            (tau_star, FixedPower(params.p_max, params.gamma_max)),
-        ):
-            opt = solver(gains, params)
-            if not opt.boundary:
-                resid = capacity_tau_derivative(prof, opt.tau, gains, params)
+        for prof in _tau_profiles(params).values():
+            tau = float(_profile_tau(prof, gains, params))
+            if 0.0 < tau < TAU_LIMIT:
+                resid = capacity_tau_derivative(prof, tau, gains, params)
                 assert abs(resid) <= 1e-10
 
 
@@ -105,10 +116,10 @@ def test_derivative_vanishes_at_returned_roots():
 def test_tau_star_matches_dense_grid_argmax():
     gains = ChannelGains(0.7, 1.3, 0.15)
     params = params_at_sir(-12.0)
-    opt = tau_star(gains, params)
+    tau = float(_profile_tau(_tau_profiles(params)["tau_star"], gains, params))
     tau_grid, value_grid = ne_grid_optimum(gains, params, n=1_000_000)
-    assert abs(opt.tau - tau_grid) <= 1e-5
-    value = capacity(params.p_max, opt.tau, params.gamma_max, gains, params)
+    assert abs(tau - tau_grid) <= 1e-5
+    value = capacity(params.p_max, tau, params.gamma_max, gains, params)
     assert value == pytest.approx(value_grid, rel=1e-6)
 
 
@@ -117,42 +128,34 @@ def test_tau_star_exact_for_tiny_harvesting_coefficient():
     # value at TAU_LIMIT falls short of it by ~2.5e-5 relative
     gains = ChannelGains(1e-14, 1.0, 0.2)
     params = SystemParams(n_a=0.1, n_b=0.2, p_max=1.0, gamma_max=10.0, zeta=1.0)
-    opt = tau_star(gains, params)
+    tau = float(_profile_tau(_tau_profiles(params)["tau_star"], gains, params))
     gaps = np.logspace(-12.0, -3.0, 200_001)  # 1 - tau, ratio step 1.0001
     vals = capacity(params.p_max, 1.0 - gaps, params.gamma_max, gains, params)
     best = int(np.argmax(vals))
-    assert not opt.boundary
-    assert abs((1.0 - opt.tau) / gaps[best] - 1.0) <= 2e-4
-    value = capacity(params.p_max, opt.tau, params.gamma_max, gains, params)
+    assert 0.0 < tau < TAU_LIMIT
+    assert abs((1.0 - tau) / gaps[best] - 1.0) <= 2e-4
+    value = capacity(params.p_max, tau, params.gamma_max, gains, params)
     assert value >= vals[best] * (1.0 - 1e-12)
     # the array core returns the same tau for the same draw inside a batch
     batch = ChannelGains(np.array([1.0, 1e-14]), np.array([1.0, 1.0]), np.array([0.2, 0.2]))
-    assert solve_ne_arrays(batch, params).tau[1] == opt.tau
-    assert solve_ne(gains, params).profile.legit.tau == opt.tau
+    assert solve_ne_arrays(batch, params).tau[1] == tau
+    assert solve_ne(gains, params).profile.legit.tau == tau
 
 
-@pytest.mark.parametrize("solver, gains, expected", [
+@pytest.mark.parametrize("optimum, gains, expected", [
     # 50-digit stationary points; beta is 1e578, 1e305 (but h2/gb2 overflows)
     # and 5e619, and the first and last optima used to read 0
-    (tau_hat, ChannelGains(1e287, 1e284, 1e-7), 0.00075545433405753236),
-    (tau_hat, ChannelGains(1e300, 1e-310, 1e-315), 0.0014373083979544618),
-    (tau_star, ChannelGains(1e300, 1e300, 1e-320), 0.00072556553990371293),
+    ("tau_hat", ChannelGains(1e287, 1e284, 1e-7), 0.00075545433405753236),
+    ("tau_hat", ChannelGains(1e300, 1e-310, 1e-315), 0.0014373083979544618),
+    ("tau_star", ChannelGains(1e300, 1e300, 1e-320), 0.00072556553990371293),
 ])
-def test_tau_optimum_where_beta_overflows(solver, gains, expected):
+def test_tau_optimum_where_beta_overflows(optimum, gains, expected):
     params = SystemParams(n_a=0.1, n_b=0.2, p_max=10.0, gamma_max=10.0, zeta=1.0)
-    assert solver(gains, params).tau == pytest.approx(expected, rel=1e-12)
+    tau = _profile_tau(_tau_profiles(params)[optimum], gains, params)
+    assert float(tau) == pytest.approx(expected, rel=1e-12)
 
 
 # --- tau_hat / tau_tilde ----------------------------------------------------
-
-def test_tau_solvers_require_feasibility():
-    params = reference_params()
-    bad = ChannelGains(0.2, 0.2, 1.0)
-    with pytest.raises(NeutralizationInfeasible):
-        tau_hat(bad, params)
-    with pytest.raises(NeutralizationInfeasible):
-        tau_tilde(bad, params)
-
 
 def test_tau_hat_and_tilde_beat_profile_grids():
     rng = np.random.default_rng(12)
@@ -165,22 +168,21 @@ def test_tau_hat_and_tilde_beat_profile_grids():
         if not neutralization_feasible(gains, params) or gains.h2 == 0 or gains.gb2 == 0:
             continue
         count += 1
-        for solver, prof in ((tau_hat, OnThreshold()),
-                             (tau_tilde, FixedPower(params.p_max, 0.0))):
-            opt = solver(gains, params)
+        profiles = _tau_profiles(params)
+        for prof in (profiles["tau_hat"], profiles["tau_tilde"]):
+            tau = float(_profile_tau(prof, gains, params))
             vals = tau_profile_capacity(prof, taus, gains, params)
             best = int(np.argmax(vals))
-            v_opt = tau_profile_capacity(prof, opt.tau, gains, params)
+            v_opt = tau_profile_capacity(prof, tau, gains, params)
             assert v_opt >= vals[best] - 1e-9
-            assert abs(opt.tau - taus[best]) <= step + 1e-12
+            assert abs(tau - taus[best]) <= step + 1e-12
 
 
 def test_tau_tilde_boundary_flag_when_nothing_harvested():
     gains = ChannelGains(1.0, 1.0, 0.2)
     params = reference_params(zeta=1e-12, p_max=10.0)
-    opt = tau_tilde(gains, params)
-    assert opt.boundary
-    assert opt.tau == 0.0
+    tau = _profile_tau(_tau_profiles(params)["tau_tilde"], gains, params)
+    assert tau == 0.0
 
 
 # --- solve_nj ---------------------------------------------------------------
@@ -197,7 +199,7 @@ def test_solve_nj_infeasible_is_zero():
 def test_solve_nj_case_a_independent_of_power_budget():
     gains = ChannelGains(1.0, 1.0, 0.2)
     params = params_at_sir(10.0)  # P = 100 mW >> K
-    assert params.p_max / k_constant(gains, params) > 1.0
+    assert 0.5 * params.p_max / p_threshold(0.5, gains, params) > 1.0
     res1 = solve_nj(gains, params)
     res2 = solve_nj(gains, reference_params(p_max=2 * params.p_max))
     assert res1.regime is SolutionRegime.NJ_CASE_A
@@ -208,7 +210,7 @@ def test_solve_nj_case_a_independent_of_power_budget():
 def test_solve_nj_case_b_at_low_sir():
     gains = ChannelGains(1.0, 1.0, 0.2)
     params = params_at_sir(-30.0)  # P tiny: threshold reachable inside [0, 1)
-    assert params.p_max / k_constant(gains, params) <= 1.0
+    assert 0.5 * params.p_max / p_threshold(0.5, gains, params) <= 1.0
     res = solve_nj(gains, params)
     assert res.regime in (SolutionRegime.NJ_CASE_B_CANDIDATE1,
                           SolutionRegime.NJ_CASE_B_CANDIDATE2)
