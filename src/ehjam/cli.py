@@ -214,6 +214,8 @@ def _cmd_verify(args, params0) -> int:
     if args.sets < 1:
         print("ehjam verify: error: --sets must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
+    if not params0.gamma_max > 0.0:
+        raise ValueError("verify needs gamma_max > 0 to derive P from SIR")
     grid = (args.legit_grid, args.legit_grid, args.jammer_grid)
     checked = skipped = failures = 0
     worst_saddle = -math.inf

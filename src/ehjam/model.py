@@ -7,36 +7,32 @@ gains are unitless, capacities are in bits per channel use (base-2 log).
 Decibel conversions belong at the boundaries of the system (CLI, file
 headers), never inside the math.
 
-All functions here are pure; scalar arguments give scalar results, and numpy
-arrays broadcast through wherever that is useful for grid evaluation.
+All functions here are pure and array-native: gains, powers and tau may be
+numpy arrays that broadcast elementwise, and scalar arguments are the 0-d
+case, returned as floats. jamming_sign is the jammer's best response.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 __all__ = [
     "TAU_LIMIT",
     "ChannelGains",
-    "JammerRegime",
     "LegitStrategy",
     "NeutralizationInfeasible",
     "StrategyProfile",
     "SystemParams",
     "capacity",
     "db_to_linear",
-    "harvested_power",
-    "jammer_best_response",
     "jamming_sign",
     "linear_to_db",
     "log1p_snr",
     "neutralization_feasible",
     "p_threshold",
-    "profile_capacity",
     "snr_factors",
 ]
 
@@ -137,34 +133,9 @@ class StrategyProfile:
             raise ValueError("gamma must be >= 0 and finite")
 
 
-class JammerRegime(Enum):
-    """How capacity behaves in the jamming power at a fixed (p, tau)."""
-
-    SILENT_OPTIMAL = "silent-optimal"  # jamming helps the link; jammer stays quiet
-    FULL_POWER_OPTIMAL = "full-power-optimal"  # jamming hurts; jammer goes all in
-    CONSTANT_CAPACITY = "constant-capacity"  # capacity flat in gamma; tie
-
-
 def _check_nonneg(name, value):
     if np.any(np.asarray(value) < 0.0):
         raise ValueError(f"{name} must be >= 0")
-
-
-def harvested_power(tau, gamma, gains: ChannelGains, params: SystemParams):
-    """Average power banked during the EH slice and spent while transmitting.
-
-    Equals ``zeta * tau/(1-tau) * (gamma*ga2 + n_a)``: the received jamming
-    plus noise power, scaled by the harvesting efficiency, concentrated into
-    the (1-tau) transmit slice. Grows without bound as tau -> 1, hence the
-    domain stops strictly below 1.
-    """
-    t = np.asarray(tau)
-    if np.any(t < 0.0) or np.any(t >= 1.0):
-        raise ValueError("tau must lie in [0, 1)")
-    _check_nonneg("gamma", gamma)
-    _, lead, _ = snr_factors(0.0, gamma, gains, params)
-    out = tau / (1.0 - tau) * lead * np.maximum(gamma, 1.0)  # undo the division
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def snr_factors(p, gamma, gains: ChannelGains, params: SystemParams):
@@ -217,11 +188,6 @@ def capacity(p, tau, gamma, gains: ChannelGains, params: SystemParams):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def profile_capacity(profile: StrategyProfile, gains: ChannelGains, params: SystemParams):
-    """Capacity of a full strategy profile."""
-    return capacity(profile.legit.p, profile.legit.tau, profile.gamma, gains, params)
-
-
 def neutralization_feasible(gains: ChannelGains, params: SystemParams):
     """True when the harvesting link is strictly better than the jamming link,
     i.e. ga2/n_a > gb2/n_b. Equivalent to a positive slope K of p_threshold
@@ -252,9 +218,10 @@ def p_threshold(tau, gains: ChannelGains, params: SystemParams):
 
 
 def jamming_sign(p, tau, gains: ChannelGains, params: SystemParams):
-    """The jammer's preference at a fixed legitimate strategy, elementwise:
-    +1 where capacity increases in gamma (the jammer stays silent), -1 where
-    it decreases (full power), 0 where it is flat.
+    """The jammer's best response at a fixed legitimate strategy, elementwise.
+    Capacity is monotone in gamma, so the response is bang-bang: +1 where
+    capacity increases in gamma (the jammer stays silent), -1 where it
+    decreases (full power), 0 where it is flat (every gamma ties).
 
     The sign of dC/dgamma is gamma-independent and given by
     ``tau*zeta*ga2*n_b - (p + tau*zeta*n_a)*gb2``, which has the sign of
@@ -267,21 +234,3 @@ def jamming_sign(p, tau, gains: ChannelGains, params: SystemParams):
     sign = np.where(neutralization_feasible(gains, params), np.sign(slope), -1.0)
     return float(sign) if sign.ndim == 0 else sign
 
-
-def jammer_best_response(p, tau, gains: ChannelGains, params: SystemParams):
-    """Capacity-minimizing jamming power for a fixed legitimate strategy.
-
-    Capacity is monotone in gamma with the sign given by jamming_sign.
-    Increasing capacity means the jammer prefers silence; decreasing means
-    full power; exactly flat is reported as a tie with gamma = 0.
-    """
-    if not (0.0 <= p <= params.p_max):
-        raise ValueError("p must lie in [0, p_max]")
-    if not 0.0 <= tau < 1.0:
-        raise ValueError("tau must lie in [0, 1)")
-    sign = jamming_sign(p, tau, gains, params)
-    if sign > 0.0:
-        return 0.0, JammerRegime.SILENT_OPTIMAL
-    if sign < 0.0:
-        return params.gamma_max, JammerRegime.FULL_POWER_OPTIMAL
-    return 0.0, JammerRegime.CONSTANT_CAPACITY

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import lambertw, wrightomega
@@ -40,7 +40,6 @@ from .model import (
     log1p_snr,
     neutralization_feasible,
     p_threshold,
-    profile_capacity,
     snr_factors,
 )
 
@@ -52,7 +51,6 @@ __all__ = [
     "NJ_REGIMES",
     "OnThreshold",
     "SolutionRegime",
-    "TauProfile",
     "capacity_tau_derivative",
     "ne_grid_optimum",
     "nj_grid_value",
@@ -85,17 +83,16 @@ class OnThreshold:
     """tau-profile riding the neutralization threshold: p = tau*K, jammer silent."""
 
 
-TauProfile = Union[FixedPower, OnThreshold]
-
-
-def _profile_factors(profile: TauProfile, gains: ChannelGains, params: SystemParams):
+def _profile_factors(profile: FixedPower | OnThreshold, gains: ChannelGains,
+                     params: SystemParams):
     """(p, lead, den) of a tau-profile: alpha = p*h2/den and beta = lead*h2/den."""
     if isinstance(profile, FixedPower):
         return snr_factors(profile.p, profile.gamma, gains, params)
     return 0.0, params.zeta * gains.ga2, np.asarray(gains.gb2, dtype=float)
 
 
-def _check_profile(profile: TauProfile, gains: ChannelGains, params: SystemParams):
+def _check_profile(profile: FixedPower | OnThreshold, gains: ChannelGains,
+                   params: SystemParams):
     """Raise unless capacity along the tau-profile is defined for these gains."""
     if isinstance(profile, FixedPower):
         return
@@ -144,13 +141,16 @@ def _optimal_tau(alpha, beta):
     return np.where(rising, np.clip(tau, 0.0, TAU_LIMIT), 0.0)
 
 
-def _profile_tau(profile: TauProfile, gains: ChannelGains, params: SystemParams):
+def _profile_tau(profile: FixedPower | OnThreshold, gains: ChannelGains,
+                 params: SystemParams):
     """_optimal_tau of a tau-profile, elementwise, also where alpha or beta
     exceed the float range (gb2 == 0 on the threshold profile gives 0).
 
-    Where lead*h2/den overflows, beta is formed from L = ln(1 + beta) = ln(beta);
-    beyond the float range, s >> 1, s/beta = 1/w with w = omega(L - 1) the Wright
-    omega function (w + log(w) = L - 1), and tau = (1 - w*alpha/beta)/(1 + w).
+    Where lead*h2/den overflows, beta is expm1(L) with L = ln(1 + beta) from
+    log1p_snr (h2/den alone may overflow while beta is near 1); beyond the
+    float range, L = ln(beta), s >> 1, s/beta = 1/w with w = omega(L - 1) the
+    Wright omega function (w + log(w) = L - 1), and
+    tau = (1 - w*alpha/beta)/(1 + w).
     """
     p, lead, den = _profile_factors(profile, gains, params)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -159,16 +159,16 @@ def _profile_tau(profile: TauProfile, gains: ChannelGains, params: SystemParams)
         over = np.isinf(beta) & (den > 0.0)
         if not np.any(over):
             return _optimal_tau(alpha, beta)
-        log_beta = log1p_snr(lead, gains.h2, den)
-        beta = np.where(over, np.exp(log_beta), beta)
+        log1p_beta = log1p_snr(lead, gains.h2, den)
+        beta = np.where(over, np.expm1(log1p_beta), beta)
         ratio = p / lead
         tau = _optimal_tau(np.where(over, ratio * beta, alpha), beta)
-        w = wrightomega(log_beta - 1.0)
+        w = wrightomega(log1p_beta - 1.0)
         tau_huge = np.clip((1.0 - ratio * w) / (1.0 + w), 0.0, TAU_LIMIT)
     return np.where(over & np.isinf(beta), tau_huge, tau)
 
 
-def capacity_tau_derivative(profile: TauProfile, tau, gains: ChannelGains,
+def capacity_tau_derivative(profile: FixedPower | OnThreshold, tau, gains: ChannelGains,
                             params: SystemParams):
     """Analytic derivative of capacity along a tau-profile."""
     t = np.asarray(tau)
@@ -181,7 +181,7 @@ def capacity_tau_derivative(profile: TauProfile, tau, gains: ChannelGains,
     return float(out) if np.ndim(out) == 0 else out
 
 
-def tau_profile_capacity(profile: TauProfile, tau, gains: ChannelGains,
+def tau_profile_capacity(profile: FixedPower | OnThreshold, tau, gains: ChannelGains,
                          params: SystemParams):
     """Capacity along a tau-profile (accepts tau arrays)."""
     _check_profile(profile, gains, params)
@@ -326,7 +326,7 @@ def verify_saddle_point(profile: StrategyProfile, gains: ChannelGains,
     n_p, n_tau, n_gamma = grid_sizes
     if min(n_p, n_tau, n_gamma) < 2:
         raise ValueError("grid sizes must be >= 2")
-    c_star = profile_capacity(profile, gains, params)
+    c_star = capacity(profile.legit.p, profile.legit.tau, profile.gamma, gains, params)
     ps = np.linspace(0.0, params.p_max, n_p)
     taus = np.linspace(0.0, TAU_LIMIT, n_tau)
     gammas = np.linspace(0.0, params.gamma_max, n_gamma)

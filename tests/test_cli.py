@@ -1,5 +1,8 @@
 import io
+import os
 import shlex
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -82,6 +85,10 @@ def test_nj_zero_efficiency_interference_free_jammer(capsys, tmp_path):
     # tau* = 0.050338833240527694, C = 13.608494321187516
     (["ne", "--gamma-mw", "1e300", "--h2", "1", "--ga2", "1e10", "--gb2", "1"],
      "NE-tau-interior", "13.6084943212"),
+    # h2/gb2 overflows although beta = 0.8; 50-digit reference
+    # tau_hat = 0.65369436172129387, C = 0.229902574074124
+    (["nj", "--h2", "1", "--ga2", "1e-310", "--gb2", "1e-310"],
+     "NJ-case-a", "0.229902574074"),
 ])
 def test_huge_gains_finite_without_warnings(capsys, argv, regime, capacity_bpcu):
     with warnings.catch_warnings():
@@ -254,6 +261,22 @@ def test_verify_fails_with_impossible_tolerance(capsys):
 def test_verify_rejects_zero_sets(capsys):
     assert run(["verify", "--sets", "0"]) == 1
     assert "--sets must be >= 1" in capsys.readouterr().err
+
+
+def test_verify_rejects_zero_jamming_budget(capsys):
+    assert run(["verify", "--gamma-mw", "0", "--sets", "2"]) == 1
+    assert "verify needs gamma_max > 0 to derive P from SIR" in capsys.readouterr().err
+
+
+def test_module_entry_point_exit_codes():
+    # python -m ehjam goes through main(), whose SystemExit carries run()'s code
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    for argv, code in ((["ne", "--h2", "1", "--ga2", "1", "--gb2", "0.2"], 0),
+                       (["ne", "--frobnicate"], 1),
+                       (["nj", "--h2", "0.2", "--ga2", "0.2", "--gb2", "1"], 2)):
+        proc = subprocess.run([sys.executable, "-m", "ehjam", *argv], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == code, proc.stderr
 
 
 def test_sweep_rejects_infinite_sir(tmp_path, capsys):

@@ -5,22 +5,18 @@ import pytest
 
 from ehjam import (
     ChannelGains,
-    JammerRegime,
     LegitStrategy,
     StrategyProfile,
     SystemParams,
     TAU_LIMIT,
     capacity,
     db_to_linear,
-    harvested_power,
-    jammer_best_response,
     jamming_sign,
     linear_to_db,
     neutralization_feasible,
     p_threshold,
-    profile_capacity,
 )
-from helpers import NB_MW, random_gains, reference_params
+from helpers import random_gains, reference_params
 
 
 # --- unit conversions -------------------------------------------------------
@@ -94,61 +90,6 @@ def test_strategy_validation():
         LegitStrategy(1.0, 1.0)  # tau == 1 is excluded from the action set
     with pytest.raises(ValueError):
         StrategyProfile(LegitStrategy(1.0, 0.5), -1.0)
-
-
-# --- harvested power --------------------------------------------------------
-
-def test_harvested_power_zero_duration():
-    gains = ChannelGains(1.0, 2.0, 0.5)
-    params = reference_params()
-    for gamma in (0.0, 1.0, 10.0):
-        assert harvested_power(0.0, gamma, gains, params) == 0.0
-
-
-def test_harvested_power_noise_only_unit_case():
-    gains = ChannelGains(1.0, 3.0, 0.5)
-    params = SystemParams(n_a=1.0, n_b=0.2, p_max=1.0, gamma_max=10.0, zeta=1.0)
-    # tau/(1-tau) == 1 and only the unit noise power is collected
-    assert harvested_power(0.5, 0.0, gains, params) == pytest.approx(1.0, rel=1e-15)
-
-
-def test_harvested_power_worked_example():
-    gains = ChannelGains(1.0, 1.0, 0.2)
-    params = SystemParams(n_a=0.1, n_b=NB_MW, p_max=10.0, gamma_max=10.0, zeta=0.8)
-    assert harvested_power(0.5, 10.0, gains, params) == pytest.approx(8.08, rel=1e-12)
-
-
-def test_harvested_power_domain_errors():
-    gains = ChannelGains(1.0, 1.0, 0.2)
-    params = reference_params()
-    for bad_tau in (-0.1, 1.0, 1.5):
-        with pytest.raises(ValueError):
-            harvested_power(bad_tau, 0.0, gains, params)
-    with pytest.raises(ValueError):
-        harvested_power(0.5, -1.0, gains, params)
-
-
-def test_harvested_power_closed_form_and_monotonicity():
-    rng = np.random.default_rng(1)
-    params = reference_params(zeta=0.8)
-    for _ in range(50):
-        gains = random_gains(rng)
-        tau = float(rng.uniform(0.01, 0.95))
-        gamma = float(rng.uniform(0.0, 20.0))
-        expected = params.zeta * tau / (1.0 - tau) * (gamma * gains.ga2 + params.n_a)
-        assert harvested_power(tau, gamma, gains, params) == pytest.approx(expected, rel=1e-14)
-        # strictly increasing in tau; in gamma too whenever ga2 > 0
-        assert harvested_power(tau + 0.01, gamma, gains, params) > \
-            harvested_power(tau, gamma, gains, params)
-        if gains.ga2 > 0:
-            assert harvested_power(tau, gamma + 1.0, gains, params) > \
-                harvested_power(tau, gamma, gains, params)
-
-
-def test_harvested_power_zero_cases():
-    gains = ChannelGains(1.0, 1.0, 0.2)
-    assert harvested_power(0.4, 5.0, gains, reference_params(zeta=0.0)) == 0.0
-    assert harvested_power(0.0, 5.0, gains, reference_params()) == 0.0
 
 
 # --- capacity ---------------------------------------------------------------
@@ -247,14 +188,6 @@ def test_capacity_broadcasts_over_grids():
         capacity(float(p[3, 0]), float(tau[0, 2]), 10.0, gains, params), rel=1e-15)
 
 
-def test_profile_capacity_matches_capacity():
-    gains = ChannelGains(1.0, 1.0, 0.2)
-    params = reference_params()
-    prof = StrategyProfile(LegitStrategy(2.0, 0.3), 4.0)
-    assert profile_capacity(prof, gains, params) == \
-        capacity(2.0, 0.3, 4.0, gains, params)
-
-
 # --- threshold machinery ----------------------------------------------------
 
 def test_k_constant_values():
@@ -342,18 +275,14 @@ def test_p_threshold_unbounded_at_zero_efficiency_without_interference():
 def test_jammer_best_response_silent_below_threshold():
     gains = ChannelGains(1.0, 1.0, 0.2)
     params = reference_params()
-    gamma, regime = jammer_best_response(0.0, 0.5, gains, params)
-    assert gamma == 0.0
-    assert regime is JammerRegime.SILENT_OPTIMAL
+    assert jamming_sign(0.0, 0.5, gains, params) == 1.0
 
 
 def test_jammer_best_response_full_power_above_threshold():
     gains = ChannelGains(1.0, 1.0, 0.2)
     params = reference_params(p_max=10.0)
     assert p_threshold(0.5, gains, params) < 10.0
-    gamma, regime = jammer_best_response(10.0, 0.5, gains, params)
-    assert gamma == params.gamma_max
-    assert regime is JammerRegime.FULL_POWER_OPTIMAL
+    assert jamming_sign(10.0, 0.5, gains, params) == -1.0
 
 
 def test_jammer_best_response_tie_on_threshold():
@@ -361,9 +290,7 @@ def test_jammer_best_response_tie_on_threshold():
     params = reference_params()
     tau = 0.5
     p = p_threshold(tau, gains, params)
-    gamma, regime = jammer_best_response(p, tau, gains, params)
-    assert gamma == 0.0
-    assert regime is JammerRegime.CONSTANT_CAPACITY
+    assert jamming_sign(p, tau, gains, params) == 0.0
     c0 = capacity(p, tau, 0.0, gains, params)
     cg = capacity(p, tau, params.gamma_max, gains, params)
     assert cg == pytest.approx(c0, rel=1e-12)
@@ -373,29 +300,22 @@ def test_jammer_best_response_infeasible_always_full_power():
     gains = ChannelGains(0.2, 0.2, 1.0)
     params = reference_params()
     for p, tau in ((0.0, 0.0), (0.0, 0.5), (5.0, 0.2)):
-        gamma, regime = jammer_best_response(p, tau, gains, params)
-        assert gamma == params.gamma_max
-        assert regime is JammerRegime.FULL_POWER_OPTIMAL
+        assert jamming_sign(p, tau, gains, params) == -1.0
 
 
 def test_jammer_best_response_interference_free_jammer():
     gains = ChannelGains(1.0, 1.0, 0.0)
     params = reference_params()
     # nothing harvested at tau == 0: capacity is flat in gamma
-    _, regime0 = jammer_best_response(5.0, 0.0, gains, params)
-    assert regime0 is JammerRegime.CONSTANT_CAPACITY
-    gamma, regime = jammer_best_response(5.0, 0.5, gains, params)
-    assert gamma == 0.0
-    assert regime is JammerRegime.SILENT_OPTIMAL
+    assert jamming_sign(5.0, 0.0, gains, params) == 0.0
+    assert jamming_sign(5.0, 0.5, gains, params) == 1.0
 
 
 def test_jammer_best_response_validates_strategy():
     gains = ChannelGains(1.0, 1.0, 0.2)
     params = reference_params(p_max=10.0)
     with pytest.raises(ValueError):
-        jammer_best_response(11.0, 0.5, gains, params)
-    with pytest.raises(ValueError):
-        jammer_best_response(1.0, 1.0, gains, params)
+        jamming_sign(1.0, 1.0, gains, params)
 
 
 # --- monotonicity in the jamming power --------------------------------------

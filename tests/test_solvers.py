@@ -6,7 +6,6 @@ import pytest
 from ehjam import (
     ChannelGains,
     FixedPower,
-    JammerRegime,
     NeutralizationInfeasible,
     OnThreshold,
     SolutionRegime,
@@ -14,13 +13,11 @@ from ehjam import (
     capacity,
     capacity_tau_derivative,
     db_to_linear,
-    jammer_best_response,
     jamming_sign,
     ne_grid_optimum,
     neutralization_feasible,
     nj_grid_value,
     p_threshold,
-    profile_capacity,
     solve_ne,
     solve_ne_arrays,
     solve_nj,
@@ -148,6 +145,8 @@ def test_tau_star_exact_for_tiny_harvesting_coefficient():
     ("tau_hat", ChannelGains(1e287, 1e284, 1e-7), 0.00075545433405753236),
     ("tau_hat", ChannelGains(1e300, 1e-310, 1e-315), 0.0014373083979544618),
     ("tau_star", ChannelGains(1e300, 1e300, 1e-320), 0.00072556553990371293),
+    # beta == 1 while h2/gb2 overflows: 1 - 1/e (taking beta as 1 + beta gave 0.564)
+    ("tau_hat", ChannelGains(1.0, 1e-310, 1e-310), 0.63212055882855768),
 ])
 def test_tau_optimum_where_beta_overflows(optimum, gains, expected):
     params = SystemParams(n_a=0.1, n_b=0.2, p_max=10.0, gamma_max=10.0, zeta=1.0)
@@ -225,8 +224,7 @@ def test_solve_nj_profile_is_neutralizing_and_within_budget():
         assert res.profile.gamma == 0.0
         assert legit.p <= params.p_max * (1 + 1e-12)
         assert legit.p <= p_threshold(legit.tau, gains, params) + 1e-12
-        _, regime = jammer_best_response(legit.p, legit.tau, gains, params)
-        assert regime in (JammerRegime.SILENT_OPTIMAL, JammerRegime.CONSTANT_CAPACITY)
+        assert jamming_sign(legit.p, legit.tau, gains, params) >= 0.0
 
 
 def test_solve_nj_matches_constrained_grid():
@@ -242,8 +240,9 @@ def test_solve_nj_matches_constrained_grid():
 def test_solve_nj_value_reevaluates_through_capacity():
     for gains, params in feasible_instances(15, 20):
         res = solve_nj(gains, params)
+        legit = res.profile.legit
         assert res.value == pytest.approx(
-            profile_capacity(res.profile, gains, params), rel=1e-12)
+            capacity(legit.p, legit.tau, res.profile.gamma, gains, params), rel=1e-12)
 
 
 def test_solve_nj_interference_free_jammer():
@@ -252,9 +251,8 @@ def test_solve_nj_interference_free_jammer():
     res = solve_nj(gains, params)
     assert res.feasible
     assert res.profile.legit.p == params.p_max
-    _, regime = jammer_best_response(
-        res.profile.legit.p, res.profile.legit.tau, gains, params)
-    assert regime in (JammerRegime.SILENT_OPTIMAL, JammerRegime.CONSTANT_CAPACITY)
+    legit = res.profile.legit
+    assert jamming_sign(legit.p, legit.tau, gains, params) >= 0.0
 
 
 def test_solve_nj_zero_efficiency_degenerates_to_zero_value():
@@ -307,8 +305,9 @@ def test_solve_ne_profile_uses_both_budgets():
     for gains, params, res in consistent_instances(16, 20):
         assert res.profile.legit.p == params.p_max
         assert res.profile.gamma == params.gamma_max
+        legit = res.profile.legit
         assert res.value == pytest.approx(
-            profile_capacity(res.profile, gains, params), rel=1e-12)
+            capacity(legit.p, legit.tau, res.profile.gamma, gains, params), rel=1e-12)
         tag = SolutionRegime.NE_TAU_ZERO if res.profile.legit.tau == 0.0 \
             else SolutionRegime.NE_TAU_INTERIOR
         assert res.regime is tag
