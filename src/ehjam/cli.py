@@ -21,7 +21,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .experiments import SweepConfig, sample_channels, sir_sweep, write_csv
+from .experiments import SweepConfig, sample_channels, sir_points, sir_sweep, write_csv
 from .model import ChannelGains, SystemParams, db_to_linear, linear_to_db
 from .solvers import solve_ne, solve_nj, verify_saddle_point
 
@@ -149,6 +149,16 @@ def _build_params(args) -> SystemParams:
     return SystemParams(**{"p_max": 1.0, **powers}, zeta=args.zeta)
 
 
+def _params_at_sir(params: SystemParams, sir_db: float) -> SystemParams:
+    """params with the transmit budget P = gamma*10^(SIR/10) of one SIR point."""
+    p_max = params.gamma_max * db_to_linear(sir_db)
+    if not 0.0 < p_max < math.inf:
+        raise ValueError(f"--gamma-mw {_fmt_exact(params.gamma_max)} leaves P ="
+                         f" gamma*10^(SIR/10) = {_fmt(p_max)} mW at SIR {_fmt(sir_db)} dB;"
+                         " P must be positive and finite")
+    return replace(params, p_max=p_max)
+
+
 def _echo(args, params: SystemParams) -> None:
     """Print the run's flags as one shell-quoted line: powers as exact mW,
     every other flag as parsed."""
@@ -204,6 +214,8 @@ def _cmd_sweep(args, params) -> int:
         mc_draws=args.draws,
         rng_seed=args.seed,
     )
+    for sir_db in sir_points(config):
+        _params_at_sir(params, sir_db)
     records = sir_sweep(config)
     write_csv(records, args.out, config)
     print(f"wrote {args.out} ({len(records)} SIR points)")
@@ -223,7 +235,7 @@ def _cmd_verify(args, params0) -> int:
     for i in range(args.sets):
         gains = sample_channels(args.seed, i)
         sir_db = _VERIFY_SIRS_DB[i % len(_VERIFY_SIRS_DB)]
-        params = replace(params0, p_max=params0.gamma_max * db_to_linear(sir_db))
+        params = _params_at_sir(params0, sir_db)
         ne = solve_ne(gains, params)
         nj = solve_nj(gains, params)
         dominance_gap = nj.value - ne.value  # positive would violate dominance

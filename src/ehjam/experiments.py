@@ -3,8 +3,10 @@ machine-readable CSV the sweeps emit.
 
 Reproducibility: channel draw `index` under `seed` is a pure function of
 (seed, index) backed by a counter-based generator, so sweeps are byte-stable
-across runs and indifferent to evaluation order or chunking. Averages use
-compensated summation (math.fsum) for the same reason.
+across runs and indifferent to evaluation order or chunking. Sweeps stream
+draws in fixed-size chunks (memory flat in the draw count); each chunk's
+values become a few floats with the same exact sum (ExtractVector: Rump, Ogita
+and Oishi, SIAM J. Sci. Comput. 31(1), 2008), so averages are exact fsums.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from .model import (
     capacity,
     db_to_linear,
     linear_to_db,
-    neutralization_feasible,
 )
-from .solvers import solve_ne_arrays, solve_nj_arrays
+from .solvers import ChannelBatch
 
 __all__ = [
     "SweepConfig",
@@ -40,6 +41,9 @@ __all__ = [
 
 #: Tolerated float noise below exact dominance before a ratio is a violation.
 DOMINANCE_TOL = 1e-9
+
+#: Draws per chunk of a Monte Carlo sweep; results do not depend on it.
+_CHUNK_DRAWS = 2**15
 
 
 def _gain_block(seed: int, start: int, count: int) -> np.ndarray:
@@ -156,25 +160,33 @@ def sir_points(config: SweepConfig) -> list[float]:
     return [config.sir_start_db + i * config.sir_step_db for i in range(n)]
 
 
-def _mean(values) -> float:
-    arr = np.asarray(values, dtype=float)
-    return math.fsum(arr) / arr.size
+def _exact_parts(values) -> list[float]:
+    """A few floats whose exact sum is the exact sum of values.
+
+    With sigma = 2^(e(max|a|) + e(n+2)), e the frexp exponent (>= ceil log2),
+    q = (sigma + a) - sigma and a - q are exact and the q sum exactly in any
+    order; repeat on a - q until it is 0. Where sigma would overflow or a
+    value is not finite, the values are handed on as they are.
+    """
+    a = np.asarray(values, dtype=float).ravel()
+    parts = []
+    bits = math.frexp(a.size + 2.0)[1]
+    while a.size and (top := float(np.max(np.abs(a)))) != 0.0:
+        exponent = math.frexp(top)[1] + bits
+        if not math.isfinite(top) or exponent > 1023:
+            return parts + a.tolist()
+        sigma = math.ldexp(1.0, exponent)
+        q = (sigma + a) - sigma
+        parts.append(float(np.sum(q)))
+        a = a - q
+    return parts
 
 
-def _make_record(sir_db, c_ne, c_nj, c_no_eh, nj_frac, tau_ne) -> SweepRecord:
-    m_ne, m_nj, m_0 = _mean(c_ne), _mean(c_nj), _mean(c_no_eh)
-    return SweepRecord(
-        sir_db=sir_db,
-        c_ne=m_ne,
-        c_nj=m_nj,
-        c_no_eh=m_0,
-        f=metric_f(m_ne, m_0),
-        f_nj=metric_fnj(m_ne, m_nj),
-        nj_feasible_fraction=nj_frac,
-        tau_ne_mean=_mean(tau_ne),
-        f_ratio_mean=_mean(metric_f(c_ne, c_no_eh)),
-        f_nj_ratio_mean=_mean(metric_fnj(c_ne, c_nj)),
-    )
+def _make_record(sir_db, parts, draws, nj_frac) -> SweepRecord:
+    """One SIR point's record from the parts of c_ne, c_nj, c_no_eh, tau_ne, f, f_nj."""
+    m_ne, m_nj, m_0, m_tau, m_f, m_fnj = (math.fsum(col) / draws for col in parts)
+    return SweepRecord(sir_db, m_ne, m_nj, m_0, metric_f(m_ne, m_0),
+                       metric_fnj(m_ne, m_nj), nj_frac, m_tau, m_f, m_fnj)
 
 
 def sir_sweep(config: SweepConfig) -> list[SweepRecord]:
@@ -182,25 +194,33 @@ def sir_sweep(config: SweepConfig) -> list[SweepRecord]:
 
     Monte Carlo mode draws mc_draws channels (indices 0..mc_draws-1 under
     rng_seed, shared by all SIR points) and averages the capacities before
-    taking the efficiency ratios; fixed gains are the one-draw case.
-    """
+    taking the efficiency ratios; fixed gains are the one-draw case. Each
+    chunk of _CHUNK_DRAWS draws is solved at every SIR point in turn."""
+    sirs = sir_points(config)
+    points = [replace(config.params, p_max=config.params.gamma_max * db_to_linear(sir_db))
+              for sir_db in sirs]
     if config.fixed_gains is not None:
         g = config.fixed_gains
-        block = np.array([[g.h2, g.ga2, g.gb2]], dtype=float)
+        draws, blocks = 1, [np.array([[g.h2, g.ga2, g.gb2]], dtype=float)]
     else:
-        block = _gain_block(config.rng_seed, 0, config.mc_draws)
-    gains = ChannelGains(block[:, 0], block[:, 1], block[:, 2])
-    draws = len(block)
-    nj_frac = np.count_nonzero(neutralization_feasible(gains, config.params)) / draws
-    records = []
-    for sir_db in sir_points(config):
-        p_max = config.params.gamma_max * db_to_linear(sir_db)
-        params = replace(config.params, p_max=p_max)
-        ne = solve_ne_arrays(gains, params)
-        nj = solve_nj_arrays(gains, params)
-        c_no_eh = capacity(p_max, 0.0, params.gamma_max, gains, params)
-        records.append(_make_record(sir_db, ne.value, nj.value, c_no_eh, nj_frac, ne.tau))
-    return records
+        draws = config.mc_draws
+        blocks = (_gain_block(config.rng_seed, start, min(_CHUNK_DRAWS, draws - start))
+                  for start in range(0, draws, _CHUNK_DRAWS))
+    parts = [[[] for _ in range(6)] for _ in points]
+    feasible = 0
+    for block in blocks:
+        gains = ChannelGains(block[:, 0], block[:, 1], block[:, 2])
+        batch = ChannelBatch(gains, config.params)
+        feasible += np.count_nonzero(batch.feasible)
+        for params, cols in zip(points, parts):
+            ne, nj = batch.ne(params.p_max), batch.nj(params.p_max)
+            c_no_eh = capacity(params.p_max, 0.0, params.gamma_max, gains, params)
+            for col, values in zip(cols, (ne.value, nj.value, c_no_eh, ne.tau,
+                                          metric_f(ne.value, c_no_eh),
+                                          metric_fnj(ne.value, nj.value))):
+                col += _exact_parts(values)
+    return [_make_record(sir_db, cols, draws, feasible / draws)
+            for sir_db, cols in zip(sirs, parts)]
 
 
 def _config_echo(config: SweepConfig) -> list[str]:

@@ -14,8 +14,8 @@ concave itself (Boyd and Vandenberghe, "Convex Optimization", 2004, sec.
 3.2.3), so its maximizer follows from the two profile optima and the kink
 without comparing values.
 
-One array core per operating point (solve_ne_arrays, solve_nj_arrays) works
-elementwise over gain arrays; the scalar solvers are its 0-d case.
+ChannelBatch is the one array core, for any transmit budget; the array
+solvers are its one-budget case and the scalar solvers their 0-d case.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -44,6 +45,7 @@ from .model import (
 )
 
 __all__ = [
+    "ChannelBatch",
     "EquilibriumResult",
     "FixedPower",
     "NEArrays",
@@ -111,31 +113,29 @@ def _tau_derivative(tau, alpha, beta):
     return (-np.log1p(x) + (alpha + beta) / d) / math.log(4.0)  # 2 ln 2
 
 
-def _optimal_tau(alpha, beta):
-    """Maximizer over [0, TAU_LIMIT] of the canonical profile, elementwise.
+def _optimal_snr(beta):
+    """SNR term s at the stationary point of the canonical profile, elementwise.
 
-    The SNR term s = (alpha + beta*tau)/(1 - tau) at the stationary point
-    solves g(s) = (1+s)*log1p(s) - s = beta, so 1+s = exp(1 + W0((beta-1)/e))
-    and 1 - tau = (alpha+beta)/(s+beta). W0 is sqrt(eps)-conditioned at its
-    branch point (beta -> 0), so tiny beta take the series s = q + q^2/6 -
-    q^3/72 + q^4/270 in q = sqrt(2*beta) instead; the W0 start gets one Newton
-    step on the s-equation. The profile is concave, so clipping the stationary
-    point to TAU_LIMIT gives the exact maximizer over [0, TAU_LIMIT].
-
-    The derivative at any tau equals (beta - g(x))/(2 ln2 (1+x)), x the SNR
-    term there, and g increases, so its sign at _TAU_PROBE is that of s - x:
-    comparing the two avoids the cancellation of evaluating the derivative,
-    which loses the sign once beta is below ~eps*alpha.
+    s solves g(s) = (1+s)*log1p(s) - s = beta, so 1+s = exp(1 + W0((beta-1)/e)).
+    W0 is sqrt(eps)-conditioned at its branch point (beta -> 0), so tiny beta
+    take the series s = q + q^2/6 - q^3/72 + q^4/270 in q = sqrt(2*beta)
+    instead; the W0 start gets one Newton step on the s-equation.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s = np.expm1(1.0 + lambertw((beta - 1.0) / math.e).real)
         log1p_s = np.log1p(s)
         s = s - ((1.0 + s) * log1p_s - s - beta) / log1p_s
         q = np.sqrt(2.0 * beta)
         series = q * (1.0 + q * (1.0 / 6.0 + q * (-1.0 / 72.0 + q / 270.0)))
-        s = np.where(beta < _SERIES_BETA, series, s)
+        return np.where(beta < _SERIES_BETA, series, s)
+
+
+def _optimal_tau(alpha, beta, s):
+    """Maximizer over [0, TAU_LIMIT] of the concave canonical profile given
+    s = _optimal_snr(beta): 1 - tau = (alpha+beta)/(s+beta), clipped. The
+    derivative at tau is (beta - g(x))/(2 ln2 (1+x)), x the SNR term there,
+    so its sign at _TAU_PROBE is that of s - x, which does not cancel."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         tau = 1.0 - (alpha + beta) / (s + beta)
     rising = s > (alpha + beta * _TAU_PROBE) / (1.0 - _TAU_PROBE)
     return np.where(rising, np.clip(tau, 0.0, TAU_LIMIT), 0.0)
@@ -143,8 +143,9 @@ def _optimal_tau(alpha, beta):
 
 def _profile_tau(profile: FixedPower | OnThreshold, gains: ChannelGains,
                  params: SystemParams):
-    """_optimal_tau of a tau-profile, elementwise, also where alpha or beta
-    exceed the float range (gb2 == 0 on the threshold profile gives 0).
+    """tau(p): the optimal tau of a tau-profile, elementwise, at transmit term p
+    (by default the profile's own); beta = lead*h2/den and s(beta) are
+    computed once, here (gb2 == 0 on the threshold profile gives tau 0).
 
     Where lead*h2/den overflows, beta is expm1(L) with L = ln(1 + beta) from
     log1p_snr (h2/den alone may overflow while beta is near 1); beyond the
@@ -152,20 +153,27 @@ def _profile_tau(profile: FixedPower | OnThreshold, gains: ChannelGains,
     Wright omega function (w + log(w) = L - 1), and
     tau = (1 - w*alpha/beta)/(1 + w).
     """
-    p, lead, den = _profile_factors(profile, gains, params)
+    p0, lead, den = _profile_factors(profile, gains, params)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         scale = gains.h2 / den
-        alpha, beta = p * scale, lead * scale
+        beta = lead * scale
         over = np.isinf(beta) & (den > 0.0)
-        if not np.any(over):
-            return _optimal_tau(alpha, beta)
-        log1p_beta = log1p_snr(lead, gains.h2, den)
-        beta = np.where(over, np.expm1(log1p_beta), beta)
-        ratio = p / lead
-        tau = _optimal_tau(np.where(over, ratio * beta, alpha), beta)
-        w = wrightomega(log1p_beta - 1.0)
-        tau_huge = np.clip((1.0 - ratio * w) / (1.0 + w), 0.0, TAU_LIMIT)
-    return np.where(over & np.isinf(beta), tau_huge, tau)
+        if np.any(over):
+            log1p_beta = log1p_snr(lead, gains.h2, den)
+            beta = np.where(over, np.expm1(log1p_beta), beta)
+            w = wrightomega(log1p_beta - 1.0)
+    s = _optimal_snr(beta)
+
+    def tau(p=p0):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            alpha = p * scale
+            if not np.any(over):
+                return _optimal_tau(alpha, beta, s)
+            ratio = p / lead
+            tau = _optimal_tau(np.where(over, ratio * beta, alpha), beta, s)
+            tau_huge = np.clip((1.0 - ratio * w) / (1.0 + w), 0.0, TAU_LIMIT)
+        return np.where(over & np.isinf(beta), tau_huge, tau)
+    return tau
 
 
 def capacity_tau_derivative(profile: FixedPower | OnThreshold, tau, gains: ChannelGains,
@@ -240,50 +248,79 @@ class NJArrays(NamedTuple):
     regime: np.ndarray  # index into NJ_REGIMES
 
 
+class ChannelBatch:
+    """Both operating points of an array of channels (0-d for scalar gains) at
+    any transmit budget P (params.p_max is not read); feasible marks where the
+    jammer can be neutralized. What does not depend on P (each tau-profile's
+    beta and s(beta), t_hat and K) is computed on first use and kept."""
+
+    def __init__(self, gains: ChannelGains, params: SystemParams):
+        self.gains, self.params = gains, params
+        self.feasible = np.asarray(neutralization_feasible(gains, params))
+        self._taus = {}  # jamming power -> tau(p) of that fixed-power profile
+
+    def _fixed_power_tau(self, p_max, gamma):
+        if not 0.0 < p_max < math.inf:
+            raise ValueError("p_max must be positive and finite")
+        if gamma not in self._taus:
+            self._taus[gamma] = _profile_tau(FixedPower(p_max, gamma), self.gains,
+                                             self.params)
+        return self._taus[gamma](snr_factors(p_max, gamma, self.gains, self.params)[0])
+
+    @cached_property
+    def _threshold(self):
+        """K/2 = p_threshold(0.5) and the threshold optimum t_hat."""
+        return (p_threshold(0.5, self.gains, self.params),
+                _profile_tau(OnThreshold(), self.gains, self.params)())
+
+    def ne(self, p_max: float) -> NEArrays:
+        """Full-power operating point: both budgets spent, tau optimal for them."""
+        gains, params, gamma = self.gains, self.params, self.params.gamma_max
+        tau = self._fixed_power_tau(p_max, gamma)
+        value = capacity(p_max, tau, gamma, gains, params)
+        stable = jamming_sign(p_max, tau, gains, params) <= 0.0
+        return NEArrays(tau, value, stable)
+
+    def nj(self, p_max: float) -> NJArrays:
+        """Neutralizing optimum; infeasible links get value 0 and a zero strategy.
+
+        Capacity along p = min(P, p_threshold(tau)) is the pointwise minimum of
+        the concave threshold and full-power profiles, so it is concave in tau
+        with its kink at P/K (0 where the threshold is unbounded). Its maximizer
+        is the threshold optimum t_hat where t_hat < P/K (case a when P/K > 1,
+        which makes it independent of P; else case b, candidate 1); otherwise
+        full power at the silent-jammer optimum t_tilde raised to at least P/K,
+        nudged by ulps until the threshold reaches P (candidate 2, or 1 at the
+        kink itself)."""
+        gains, params, feasible = self.gains, self.params, self.feasible
+        k_half, t_hat = self._threshold
+        # P/K, the kink: the threshold is linear in tau, K = p_threshold(0.5)/0.5
+        with np.errstate(divide="ignore"):
+            p_inv = np.divide(0.5 * p_max, k_half)
+        t_tilde = self._fixed_power_tau(p_max, 0.0)
+
+        on_threshold = t_hat < p_inv
+        tau = np.select([~feasible, on_threshold], [0.0, t_hat],
+                        np.minimum(np.maximum(t_tilde, p_inv), TAU_LIMIT))
+        short = feasible & ~on_threshold
+        while np.any(short := short & (p_threshold(tau, gains, params) < p_max)
+                     & (tau < TAU_LIMIT)):
+            tau = np.where(short, np.nextafter(tau, 1.0), tau)
+        p = np.where(feasible, np.minimum(p_threshold(tau, gains, params), p_max), 0.0)
+        value = capacity(p, tau, 0.0, gains, params)
+        regime = np.select([~feasible, p_inv > 1.0, on_threshold | (t_tilde <= p_inv)],
+                           [0, 1, 2], 3)
+        return NJArrays(p, tau, value, regime)
+
+
 def solve_ne_arrays(gains: ChannelGains, params: SystemParams) -> NEArrays:
-    """Full-power operating point elementwise over gain arrays (0-d for scalar
-    gains): both sides spend their budgets and tau maximizes capacity under
-    full-power jamming."""
-    profile = FixedPower(params.p_max, params.gamma_max)
-    tau = _profile_tau(profile, gains, params)
-    value = capacity(params.p_max, tau, params.gamma_max, gains, params)
-    stable = jamming_sign(params.p_max, tau, gains, params) <= 0.0
-    return NEArrays(tau, value, stable)
+    """ChannelBatch.ne at params.p_max."""
+    return ChannelBatch(gains, params).ne(params.p_max)
 
 
 def solve_nj_arrays(gains: ChannelGains, params: SystemParams) -> NJArrays:
-    """Neutralizing optimum elementwise over gain arrays (0-d for scalar gains).
-
-    Infeasible harvesting links get value 0 with an all-zero strategy.
-    Otherwise capacity along p = min(P, p_threshold(tau)) is the pointwise
-    minimum of the concave threshold and full-power profiles, so it is
-    concave in tau with its kink at P/K (0 where the threshold is unbounded).
-    Its maximizer is the threshold optimum t_hat where t_hat < P/K (case a
-    when P/K > 1, which makes the optimum independent of P; else case b,
-    candidate 1); otherwise it is full power at the silent-jammer optimum
-    t_tilde raised to at least P/K, nudged by ulps until the threshold
-    reaches P (candidate 2, or candidate 1 when that is the kink itself).
-    """
-    p_max = params.p_max
-    feasible = np.asarray(neutralization_feasible(gains, params))
-    # P/K, the kink: the threshold is linear in tau, K = p_threshold(0.5)/0.5
-    with np.errstate(divide="ignore"):
-        p_inv = np.divide(0.5 * p_max, p_threshold(0.5, gains, params))
-    t_hat = _profile_tau(OnThreshold(), gains, params)
-    t_tilde = _profile_tau(FixedPower(p_max, 0.0), gains, params)
-
-    on_threshold = t_hat < p_inv
-    tau = np.select([~feasible, on_threshold], [0.0, t_hat],
-                    np.minimum(np.maximum(t_tilde, p_inv), TAU_LIMIT))
-    short = feasible & ~on_threshold
-    while np.any(short := short & (p_threshold(tau, gains, params) < p_max)
-                 & (tau < TAU_LIMIT)):
-        tau = np.where(short, np.nextafter(tau, 1.0), tau)
-    p = np.where(feasible, np.minimum(p_threshold(tau, gains, params), p_max), 0.0)
-    value = capacity(p, tau, 0.0, gains, params)
-    regime = np.select([~feasible, p_inv > 1.0, on_threshold | (t_tilde <= p_inv)],
-                       [0, 1, 2], 3)
-    return NJArrays(p, tau, value, regime)
+    """ChannelBatch.nj at params.p_max."""
+    return ChannelBatch(gains, params).nj(params.p_max)
 
 
 def solve_nj(gains: ChannelGains, params: SystemParams) -> EquilibriumResult:

@@ -268,6 +268,17 @@ def test_verify_rejects_zero_jamming_budget(capsys):
     assert "verify needs gamma_max > 0 to derive P from SIR" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+def test_tiny_jamming_budget_names_the_flag_and_the_sir_point(tmp_path, capsys, command):
+    # P = gamma*10^(SIR/10) underflows to 0 at -30 dB
+    extra = ["--out", str(tmp_path / "s.csv")] if command == "sweep" else ["--sets", "2"]
+    assert run([command, "--gamma-mw", "1e-322", *extra]) == 1
+    err = capsys.readouterr().err
+    assert "--gamma-mw 9.8813129168249309e-323" in err
+    assert "= 0 mW at SIR -30 dB" in err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_module_entry_point_exit_codes():
     # python -m ehjam goes through main(), whose SystemExit carries run()'s code
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}

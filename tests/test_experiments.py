@@ -1,5 +1,11 @@
+import math
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehjam import (
     ChannelGains,
@@ -16,7 +22,8 @@ from ehjam import (
     solve_nj_arrays,
     write_csv,
 )
-from ehjam.experiments import _CSV_COLUMNS, _gain_block
+from ehjam import experiments, solvers
+from ehjam.experiments import _CSV_COLUMNS, _exact_parts, _gain_block
 from helpers import params_at_sir, reference_params
 
 
@@ -189,6 +196,84 @@ def test_batch_solvers_match_scalar_solvers():
             assert abs(c_ne[i] - ne.value) <= 1e-10
             assert abs(c_nj[i] - nj.value) <= 1e-9
             assert bool(regime[i]) == nj.feasible  # code 0 is NJ-infeasible
+
+
+@pytest.mark.parametrize("chunk, draws", [(1, 1_001), (7, 10_001), (4096, 10_001)])
+def test_sweep_bytes_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, chunk, draws):
+    # the default chunk holds all the draws; a chunk of 1 is run on fewer
+    # draws because each chunk costs about 2 ms of per-call overhead
+    cfg = SweepConfig(-30.0, 10.0, 40.0, reference_params(), mc_draws=draws, rng_seed=5)
+    whole, chunked = tmp_path / "whole.csv", tmp_path / "chunked.csv"
+    write_csv(sir_sweep(cfg), whole, cfg)
+    monkeypatch.setattr(experiments, "_CHUNK_DRAWS", chunk)
+    write_csv(sir_sweep(cfg), chunked, cfg)
+    assert chunked.read_bytes() == whole.read_bytes()
+
+
+def test_tau_profiles_are_solved_once_per_chunk(monkeypatch):
+    calls = []
+    real = solvers.lambertw
+    monkeypatch.setattr(solvers, "lambertw", lambda *a: calls.append(1) or real(*a))
+    gains, params = ChannelGains(1.0, 1.0, 0.2), params_at_sir(-10.0)
+    for solve, expected in ((solve_ne, 1), (solve_nj, 2)):
+        calls.clear()
+        solve(gains, params)
+        assert len(calls) == expected
+    for chunk, draws in ((experiments._CHUNK_DRAWS, 10_000), (4096, 10_001)):
+        monkeypatch.setattr(experiments, "_CHUNK_DRAWS", chunk)
+        calls.clear()
+        sir_sweep(SweepConfig(-30.0, 10.0, 1.0, reference_params(), mc_draws=draws))
+        assert len(calls) == 3 * math.ceil(draws / chunk)
+
+
+def test_sweep_memory_is_flat_in_draws():
+    def peak(draws):
+        cfg = SweepConfig(0.0, 0.0, 1.0, reference_params(), mc_draws=draws, rng_seed=1)
+        tracemalloc.start()
+        try:
+            sir_sweep(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(400_000) <= 1.2 * peak(100_000)
+
+
+# --- exact sums -------------------------------------------------------------
+
+def _fsum_bits(values):
+    """math.fsum's result as bits (the sign of zero and NaNs included), or
+    the type of the error it raises."""
+    try:
+        return struct.pack("<d", math.fsum(values))
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 20_000),
+       hi=st.floats(-320.0, 308.23), span=st.floats(0.0, 630.0),
+       zeros=st.sampled_from([0.0, 0.3, 1.0]),
+       special=st.sampled_from([None, np.inf, -np.inf, np.nan]),
+       edge=st.sampled_from([None, 1020, 1021, 1022, 1023, 1024]),
+       splits=st.integers(0, 6))
+def test_exact_parts_sum_to_the_bits_of_fsum(seed, n, hi, span, zeros, special, edge,
+                                             splits):
+    # magnitudes log-uniform in [10^max(hi-span, -320), 10^hi], mixed signs,
+    # zeros of either sign; edge puts in a value whose binary exponent is at
+    # or near the one where sigma overflows
+    rng = np.random.default_rng(seed)
+    a = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(max(hi - span, -320.0), hi, n)
+    a = np.where(rng.random(n) < zeros, np.copysign(0.0, a), a)
+    if n and special is not None:
+        a[rng.integers(0, n, 3)] = special
+    if n and edge is not None:
+        a[rng.integers(0, n)] = math.ldexp(rng.choice([-0.75, 0.75]), edge)
+    whole = _fsum_bits(a.tolist())
+    assert _fsum_bits(_exact_parts(a)) == whole
+    chunks = np.split(a, np.sort(rng.integers(0, n + 1, splits)))
+    if not isinstance(whole, type):  # fsum's overflow depends on the order
+        assert _fsum_bits([x for c in chunks for x in _exact_parts(c)]) == whole
 
 
 # --- CSV output -------------------------------------------------------------

@@ -24,7 +24,7 @@ from ehjam import (
     solve_nj,
     solve_nj_arrays,
 )
-from ehjam.solvers import _optimal_tau, _tau_derivative
+from ehjam.solvers import _optimal_snr, _optimal_tau, _tau_derivative
 
 # deterministic examples, no example database: the suite reruns identically
 _SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -42,14 +42,14 @@ _GAIN = st.one_of(st.just(0.0), _log_uniform(-3.0, 3.0), _log_uniform(12.0, 15.0
 @given(st.lists(st.tuples(_COEFFICIENT, _COEFFICIENT), min_size=1, max_size=16))
 def test_optimal_tau_is_the_stationary_point(pairs):
     alpha, beta = (np.array(c) for c in zip(*pairs))
-    tau = _optimal_tau(alpha, beta)
+    tau = _optimal_tau(alpha, beta, _optimal_snr(beta))
     assert np.all(np.isfinite(tau))
     assert np.all((tau >= 0.0) & (tau <= TAU_LIMIT))
     interior = (tau > 0.0) & (tau < TAU_LIMIT)
     resid = _tau_derivative(tau[interior], alpha[interior], beta[interior])
     assert np.all(np.abs(resid) <= 1e-12 * np.maximum(1.0, alpha + beta)[interior])
     for i, (a, b) in enumerate(pairs):
-        assert _optimal_tau(a, b) == tau[i]
+        assert _optimal_tau(a, b, _optimal_snr(b)) == tau[i]
 
 
 @_SETTINGS
@@ -59,7 +59,7 @@ def test_optimal_tau_accurate_near_branch_point(beta):
     # the returned tau against (1+s)*log1p(s) - s = beta, summed as its
     # alternating series so that no digits cancel
     alpha = np.sqrt(2.0 * beta) / 2.0  # puts tau near 1/2
-    tau = float(_optimal_tau(alpha, beta))
+    tau = float(_optimal_tau(alpha, beta, _optimal_snr(beta)))
     s = (alpha + beta * tau) / (1.0 - tau)
     g = sum((-1) ** n * s ** n / (n * (n - 1)) for n in range(30, 1, -1))
     assert abs(g - beta) <= 1e-12 * beta

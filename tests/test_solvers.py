@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ehjam import (
+    ChannelBatch,
     ChannelGains,
     FixedPower,
     NeutralizationInfeasible,
@@ -102,7 +103,7 @@ def test_derivative_vanishes_at_returned_roots():
             continue
         count += 1
         for prof in _tau_profiles(params).values():
-            tau = float(_profile_tau(prof, gains, params))
+            tau = float(_profile_tau(prof, gains, params)())
             if 0.0 < tau < TAU_LIMIT:
                 resid = capacity_tau_derivative(prof, tau, gains, params)
                 assert abs(resid) <= 1e-10
@@ -113,7 +114,7 @@ def test_derivative_vanishes_at_returned_roots():
 def test_tau_star_matches_dense_grid_argmax():
     gains = ChannelGains(0.7, 1.3, 0.15)
     params = params_at_sir(-12.0)
-    tau = float(_profile_tau(_tau_profiles(params)["tau_star"], gains, params))
+    tau = float(_profile_tau(_tau_profiles(params)["tau_star"], gains, params)())
     tau_grid, value_grid = ne_grid_optimum(gains, params, n=1_000_000)
     assert abs(tau - tau_grid) <= 1e-5
     value = capacity(params.p_max, tau, params.gamma_max, gains, params)
@@ -125,7 +126,7 @@ def test_tau_star_exact_for_tiny_harvesting_coefficient():
     # value at TAU_LIMIT falls short of it by ~2.5e-5 relative
     gains = ChannelGains(1e-14, 1.0, 0.2)
     params = SystemParams(n_a=0.1, n_b=0.2, p_max=1.0, gamma_max=10.0, zeta=1.0)
-    tau = float(_profile_tau(_tau_profiles(params)["tau_star"], gains, params))
+    tau = float(_profile_tau(_tau_profiles(params)["tau_star"], gains, params)())
     gaps = np.logspace(-12.0, -3.0, 200_001)  # 1 - tau, ratio step 1.0001
     vals = capacity(params.p_max, 1.0 - gaps, params.gamma_max, gains, params)
     best = int(np.argmax(vals))
@@ -150,7 +151,7 @@ def test_tau_star_exact_for_tiny_harvesting_coefficient():
 ])
 def test_tau_optimum_where_beta_overflows(optimum, gains, expected):
     params = SystemParams(n_a=0.1, n_b=0.2, p_max=10.0, gamma_max=10.0, zeta=1.0)
-    tau = _profile_tau(_tau_profiles(params)[optimum], gains, params)
+    tau = _profile_tau(_tau_profiles(params)[optimum], gains, params)()
     assert float(tau) == pytest.approx(expected, rel=1e-12)
 
 
@@ -169,7 +170,7 @@ def test_tau_hat_and_tilde_beat_profile_grids():
         count += 1
         profiles = _tau_profiles(params)
         for prof in (profiles["tau_hat"], profiles["tau_tilde"]):
-            tau = float(_profile_tau(prof, gains, params))
+            tau = float(_profile_tau(prof, gains, params)())
             vals = tau_profile_capacity(prof, taus, gains, params)
             best = int(np.argmax(vals))
             v_opt = tau_profile_capacity(prof, tau, gains, params)
@@ -180,7 +181,7 @@ def test_tau_hat_and_tilde_beat_profile_grids():
 def test_tau_tilde_boundary_flag_when_nothing_harvested():
     gains = ChannelGains(1.0, 1.0, 0.2)
     params = reference_params(zeta=1e-12, p_max=10.0)
-    tau = _profile_tau(_tau_profiles(params)["tau_tilde"], gains, params)
+    tau = _profile_tau(_tau_profiles(params)["tau_tilde"], gains, params)()
     assert tau == 0.0
 
 
@@ -356,6 +357,30 @@ def test_solve_ne_flags_silent_jammer_regime():
     ok, violation = verify_saddle_point(res.profile, gains, params,
                                         grid_sizes=(80, 80, 80))
     assert not ok and violation > 1e-6
+
+
+# --- one batch at many transmit budgets ------------------------------------
+
+def test_channel_batch_reused_across_budgets_matches_fresh_solves():
+    # beta overflows on the full-power profile for the last draw, so the
+    # cached Wright-omega lanes are reused too
+    gains = ChannelGains(np.array([1.0, 0.3, 2.0, 1e300]), np.array([1.0, 2.0, 0.1, 1e300]),
+                         np.array([0.2, 0.0, 1.5, 1e-320]))
+    batch = ChannelBatch(gains, params_at_sir(0.0))
+    for sir_db in (10.0, -30.0, 0.0, -12.5):
+        params = params_at_sir(sir_db)
+        for got, fresh in ((batch.ne(params.p_max), solve_ne_arrays(gains, params)),
+                           (batch.nj(params.p_max), solve_nj_arrays(gains, params))):
+            for a, b in zip(got, fresh):
+                assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("p_max", [0.0, -1.0, np.inf, np.nan])
+def test_channel_batch_rejects_a_budget_outside_the_float_range(p_max):
+    batch = ChannelBatch(ChannelGains(1.0, 1.0, 0.2), reference_params())
+    for solve in (batch.ne, batch.nj):
+        with pytest.raises(ValueError, match="p_max must be positive and finite"):
+            solve(p_max)
 
 
 # --- saddle point verification ----------------------------------------------
