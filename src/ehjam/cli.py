@@ -228,6 +228,8 @@ def _cmd_verify(args, params0) -> int:
         return EXIT_CONFIG
     if not params0.gamma_max > 0.0:
         raise ValueError("verify needs gamma_max > 0 to derive P from SIR")
+    if not math.isfinite(args.tol):  # also when every set skips the saddle check
+        raise ValueError("--tol must be finite")
     grid = (args.legit_grid, args.legit_grid, args.jammer_grid)
     checked = skipped = failures = 0
     worst_saddle = -math.inf

@@ -12,7 +12,7 @@ and Oishi, SIAM J. Sci. Comput. 31(1), 2008), so averages are exact fsums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -63,8 +63,8 @@ def _gain_block(seed: int, start: int, count: int) -> np.ndarray:
 def sample_channels(seed: int, index: int) -> ChannelGains:
     """Channel gains for one fading cycle: squares of three independent
     standard-normal coefficients, deterministic in (seed, index)."""
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
+    if not 0 <= seed < 2**128:
+        raise ValueError("seed must lie in [0, 2**128)")
     if index < 0:
         raise ValueError("index must be >= 0")
     h2, ga2, gb2 = _gain_block(seed, index, 1)[0]
@@ -104,9 +104,10 @@ class SweepConfig:
     """SIR sweep description, SIR in dB.
 
     The jamming budget gamma_max is held fixed; the transmit budget at each
-    point is P = gamma_max * 10**(sir_db/10). params.p_max is ignored (it is
-    re-derived per point). fixed_gains replaces the mc_draws random channels
-    by that one channel: the Monte Carlo sweep with a single draw.
+    point is P = gamma_max * 10**(sir_db/10), passed to ChannelBatch as a
+    float, so params.p_max is ignored. fixed_gains replaces the mc_draws
+    random channels by that one channel: the Monte Carlo sweep with a single
+    draw.
     """
 
     sir_start_db: float
@@ -126,8 +127,8 @@ class SweepConfig:
             raise ValueError("sir_stop_db must be >= sir_start_db")
         if self.mc_draws < 1:
             raise ValueError("mc_draws must be >= 1")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be >= 0")
+        if not 0 <= self.rng_seed < 2**128:
+            raise ValueError("rng_seed must lie in [0, 2**128)")
         if not self.params.gamma_max > 0.0:
             raise ValueError("sweep needs gamma_max > 0 to derive P from SIR")
 
@@ -197,8 +198,8 @@ def sir_sweep(config: SweepConfig) -> list[SweepRecord]:
     taking the efficiency ratios; fixed gains are the one-draw case. Each
     chunk of _CHUNK_DRAWS draws is solved at every SIR point in turn."""
     sirs = sir_points(config)
-    points = [replace(config.params, p_max=config.params.gamma_max * db_to_linear(sir_db))
-              for sir_db in sirs]
+    params, gamma_max = config.params, config.params.gamma_max
+    budgets = [gamma_max * db_to_linear(sir_db) for sir_db in sirs]
     if config.fixed_gains is not None:
         g = config.fixed_gains
         draws, blocks = 1, [np.array([[g.h2, g.ga2, g.gb2]], dtype=float)]
@@ -206,15 +207,15 @@ def sir_sweep(config: SweepConfig) -> list[SweepRecord]:
         draws = config.mc_draws
         blocks = (_gain_block(config.rng_seed, start, min(_CHUNK_DRAWS, draws - start))
                   for start in range(0, draws, _CHUNK_DRAWS))
-    parts = [[[] for _ in range(6)] for _ in points]
+    parts = [[[] for _ in range(6)] for _ in budgets]
     feasible = 0
     for block in blocks:
         gains = ChannelGains(block[:, 0], block[:, 1], block[:, 2])
-        batch = ChannelBatch(gains, config.params)
+        batch = ChannelBatch(gains, params)
         feasible += np.count_nonzero(batch.feasible)
-        for params, cols in zip(points, parts):
-            ne, nj = batch.ne(params.p_max), batch.nj(params.p_max)
-            c_no_eh = capacity(params.p_max, 0.0, params.gamma_max, gains, params)
+        for p_max, cols in zip(budgets, parts):
+            ne, nj = batch.ne(p_max), batch.nj(p_max)
+            c_no_eh = capacity(p_max, 0.0, gamma_max, gains, params)
             for col, values in zip(cols, (ne.value, nj.value, c_no_eh, ne.tau,
                                           metric_f(ne.value, c_no_eh),
                                           metric_fnj(ne.value, nj.value))):
@@ -247,15 +248,13 @@ def _config_echo(config: SweepConfig) -> list[str]:
     return lines
 
 
-def write_csv(records, destination, config: SweepConfig | None = None) -> None:
+def write_csv(records, destination, config: SweepConfig) -> None:
     """Write sweep records as CSV, sorted by sir_db ascending, 17 significant
-    digits per value (round-trips exactly). With a config, '#'-prefixed
-    comment lines echo the run parameters first."""
+    digits per value (round-trips exactly), after '#'-prefixed comment lines
+    that echo the run parameters."""
     if not records:
         raise ValueError("no records to write")
-    lines = []
-    if config is not None:
-        lines.extend(_config_echo(config))
+    lines = _config_echo(config)
     lines.append(",".join(_CSV_COLUMNS))
     for rec in sorted(records, key=lambda r: r.sir_db):
         lines.append(",".join(

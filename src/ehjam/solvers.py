@@ -14,8 +14,8 @@ concave itself (Boyd and Vandenberghe, "Convex Optimization", 2004, sec.
 3.2.3), so its maximizer follows from the two profile optima and the kink
 without comparing values.
 
-ChannelBatch is the one array core, for any transmit budget; the array
-solvers are its one-budget case and the scalar solvers their 0-d case.
+ChannelBatch is the one array core, for any transmit budget P; the scalar
+solvers are its one-channel case at params.p_max.
 """
 
 from __future__ import annotations
@@ -57,9 +57,7 @@ __all__ = [
     "ne_grid_optimum",
     "nj_grid_value",
     "solve_ne",
-    "solve_ne_arrays",
     "solve_nj",
-    "solve_nj_arrays",
     "tau_profile_capacity",
     "verify_saddle_point",
 ]
@@ -303,30 +301,20 @@ class ChannelBatch:
         tau = np.select([~feasible, on_threshold], [0.0, t_hat],
                         np.minimum(np.maximum(t_tilde, p_inv), TAU_LIMIT))
         short = feasible & ~on_threshold
-        while np.any(short := short & (p_threshold(tau, gains, params) < p_max)
-                     & (tau < TAU_LIMIT)):
+        while np.any(short := short & ((threshold := p_threshold(tau, gains, params))
+                                       < p_max) & (tau < TAU_LIMIT)):
             tau = np.where(short, np.nextafter(tau, 1.0), tau)
-        p = np.where(feasible, np.minimum(p_threshold(tau, gains, params), p_max), 0.0)
+        p = np.where(feasible, np.minimum(threshold, p_max), 0.0)
         value = capacity(p, tau, 0.0, gains, params)
         regime = np.select([~feasible, p_inv > 1.0, on_threshold | (t_tilde <= p_inv)],
                            [0, 1, 2], 3)
         return NJArrays(p, tau, value, regime)
 
 
-def solve_ne_arrays(gains: ChannelGains, params: SystemParams) -> NEArrays:
-    """ChannelBatch.ne at params.p_max."""
-    return ChannelBatch(gains, params).ne(params.p_max)
-
-
-def solve_nj_arrays(gains: ChannelGains, params: SystemParams) -> NJArrays:
-    """ChannelBatch.nj at params.p_max."""
-    return ChannelBatch(gains, params).nj(params.p_max)
-
-
 def solve_nj(gains: ChannelGains, params: SystemParams) -> EquilibriumResult:
     """Best capacity achievable while keeping the jammer's best response
-    silent: the 0-d case of solve_nj_arrays."""
-    p, tau, value, code = solve_nj_arrays(gains, params)
+    silent: the one-channel case of ChannelBatch.nj at params.p_max."""
+    p, tau, value, code = ChannelBatch(gains, params).nj(params.p_max)
     regime = NJ_REGIMES[int(code)]
     prof = StrategyProfile(LegitStrategy(float(p), float(tau)), 0.0)
     return EquilibriumResult(prof, float(value), regime,
@@ -334,7 +322,8 @@ def solve_nj(gains: ChannelGains, params: SystemParams) -> EquilibriumResult:
 
 
 def solve_ne(gains: ChannelGains, params: SystemParams) -> EquilibriumResult:
-    """Full-power operating point: the 0-d case of solve_ne_arrays.
+    """Full-power operating point: the one-channel case of ChannelBatch.ne at
+    params.p_max.
 
     feasible reports whether full-power jamming is a best response to the
     returned legitimate strategy, i.e. whether the profile is mutually stable.
@@ -342,7 +331,7 @@ def solve_ne(gains: ChannelGains, params: SystemParams) -> EquilibriumResult:
     silent than feed the harvester; the profile is still returned, flagged
     infeasible, and verify_saddle_point will show the jammer-side deviation.
     """
-    tau, value, stable = solve_ne_arrays(gains, params)
+    tau, value, stable = ChannelBatch(gains, params).ne(params.p_max)
     tau = float(tau)
     tag = SolutionRegime.NE_TAU_ZERO if tau == 0.0 else SolutionRegime.NE_TAU_INTERIOR
     prof = StrategyProfile(LegitStrategy(params.p_max, tau), params.gamma_max)
@@ -363,6 +352,8 @@ def verify_saddle_point(profile: StrategyProfile, gains: ChannelGains,
     n_p, n_tau, n_gamma = grid_sizes
     if min(n_p, n_tau, n_gamma) < 2:
         raise ValueError("grid sizes must be >= 2")
+    if not math.isfinite(tol):
+        raise ValueError("tol must be finite")
     c_star = capacity(profile.legit.p, profile.legit.tau, profile.gamma, gains, params)
     ps = np.linspace(0.0, params.p_max, n_p)
     taus = np.linspace(0.0, TAU_LIMIT, n_tau)

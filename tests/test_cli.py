@@ -258,6 +258,17 @@ def test_verify_fails_with_impossible_tolerance(capsys):
     assert "result=fail" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("sets, seed", [("4", "0"), ("1", "1")])  # seed 1: set 0 is skipped
+def test_verify_rejects_non_finite_tolerance(capsys, tol, sets, seed):
+    # "--tol -inf" would read -inf as a flag, so the value is joined with "="
+    assert run(["verify", f"--tol={tol}", "--sets", sets, "--seed", seed,
+                "--legit-grid", "20", "--jammer-grid", "20"]) == 1
+    out, err = capsys.readouterr()
+    assert "result=" not in out
+    assert "--tol must be finite" in err
+
+
 def test_verify_rejects_zero_sets(capsys):
     assert run(["verify", "--sets", "0"]) == 1
     assert "--sets must be >= 1" in capsys.readouterr().err

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehjam import (
+    ChannelBatch,
     ChannelGains,
     SweepConfig,
     capacity,
@@ -17,9 +18,7 @@ from ehjam import (
     sir_points,
     sir_sweep,
     solve_ne,
-    solve_ne_arrays,
     solve_nj,
-    solve_nj_arrays,
     write_csv,
 )
 from ehjam import experiments, solvers
@@ -52,6 +51,10 @@ def test_sample_channels_validates_inputs():
         sample_channels(-1, 0)
     with pytest.raises(ValueError):
         sample_channels(0, -1)
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*128\)"):
+        sample_channels(2**128, 0)
+    g = sample_channels(2**128 - 1, 0)
+    assert all(math.isfinite(x) and x >= 0.0 for x in (g.h2, g.ga2, g.gb2))
 
 
 def test_gain_block_matches_per_index_draws():
@@ -117,6 +120,7 @@ def test_sweep_config_validation():
         dict(good, sir_stop_db=-40.0),
         dict(good, mc_draws=0),
         dict(good, rng_seed=-1),
+        dict(good, rng_seed=2**128),
         dict(good, params=reference_params(gamma_max=0.0)),
     ):
         with pytest.raises(ValueError):
@@ -165,6 +169,13 @@ def test_fixed_gain_sweep_matches_scalar_solvers():
         capacity(p.p_max, 0.0, p.gamma_max, gains, p), rel=1e-14)
 
 
+def test_sweep_rejects_budget_that_underflows():
+    # P = 1e-322 * 10**-3 is 0 at -30 dB: the library path, with no CLI check
+    cfg = SweepConfig(-30.0, 10.0, 1.0, reference_params(gamma_max=1e-322), mc_draws=10)
+    with pytest.raises(ValueError, match="p_max must be positive and finite"):
+        sir_sweep(cfg)
+
+
 def test_mc_sweep_record_invariants_and_determinism():
     params = reference_params()
     cfg = SweepConfig(-20.0, 0.0, 5.0, params, mc_draws=400, rng_seed=9)
@@ -186,8 +197,8 @@ def test_batch_solvers_match_scalar_solvers():
     gains_vec = ChannelGains(block[:, 0], block[:, 1], block[:, 2])
     for sir_db in (-30.0, -10.0, 0.0, 10.0):
         params = params_at_sir(sir_db)
-        tau_ne, c_ne, _ = solve_ne_arrays(gains_vec, params)
-        _, _, c_nj, regime = solve_nj_arrays(gains_vec, params)
+        tau_ne, c_ne, _ = ChannelBatch(gains_vec, params).ne(params.p_max)
+        _, _, c_nj, regime = ChannelBatch(gains_vec, params).nj(params.p_max)
         for i in range(draws):
             g = ChannelGains(*block[i])
             ne = solve_ne(g, params)
@@ -290,8 +301,8 @@ def test_write_csv_minimal_two_lines(tmp_path):
     cfg = SweepConfig(0.0, 0.0, 1.0, params, fixed_gains=ChannelGains(1.0, 1.0, 0.2))
     records = sir_sweep(cfg)
     out = tmp_path / "one.csv"
-    write_csv(records, out)  # no config echo: header + data only
-    lines = out.read_text().splitlines()
+    write_csv(records, out, cfg)
+    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert len(lines) == 2
     assert lines[0] == ",".join(_CSV_COLUMNS)
 
@@ -317,7 +328,7 @@ def test_write_csv_sorts_by_sir(tmp_path):
     cfg = SweepConfig(-4.0, 0.0, 2.0, params, fixed_gains=ChannelGains(1.0, 1.0, 0.2))
     records = list(reversed(sir_sweep(cfg)))
     out = tmp_path / "sorted.csv"
-    write_csv(records, out)
+    write_csv(records, out, cfg)
     _, rows = _parse_csv(out)
     sirs = [float(r["sir_db"]) for r in rows]
     assert sirs == sorted(sirs)
@@ -333,8 +344,10 @@ def test_write_csv_identical_bytes_across_runs(tmp_path):
 
 
 def test_write_csv_rejects_empty():
+    cfg = SweepConfig(0.0, 0.0, 1.0, reference_params(),
+                      fixed_gains=ChannelGains(1.0, 1.0, 0.2))
     with pytest.raises(ValueError):
-        write_csv([], "unused.csv")
+        write_csv([], "unused.csv", cfg)
 
 
 def test_write_csv_config_echo_comments(tmp_path):
@@ -357,4 +370,4 @@ def test_write_csv_surfaces_destination_on_failure(tmp_path):
     records = sir_sweep(cfg)
     bad = tmp_path / "missing-dir" / "out.csv"
     with pytest.raises(OSError, match="missing-dir"):
-        write_csv(records, bad)
+        write_csv(records, bad, cfg)

@@ -207,7 +207,7 @@ def test_k_constant_zero_efficiency():
 
 
 def test_k_constant_unbounded_when_receiver_unreachable():
-    # K = +inf, so the kink P/K that solve_nj_arrays reads is 0
+    # K = +inf, so the kink P/K that ChannelBatch.nj reads is 0
     gains = ChannelGains(1.0, 1.0, 0.0)
     params = reference_params()
     assert 0.5 * params.p_max / p_threshold(0.5, gains, params) == 0.0

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ehjam import (
     NJ_REGIMES,
     TAU_LIMIT,
+    ChannelBatch,
     ChannelGains,
     SystemParams,
     capacity,
@@ -20,9 +21,7 @@ from ehjam import (
     neutralization_feasible,
     nj_grid_value,
     solve_ne,
-    solve_ne_arrays,
     solve_nj,
-    solve_nj_arrays,
 )
 from ehjam.solvers import _optimal_snr, _optimal_tau, _tau_derivative
 
@@ -75,8 +74,8 @@ def test_optimal_tau_accurate_near_branch_point(beta):
 def test_array_cores_match_scalar_solvers(draws, zeta, gamma_max, p_max):
     h2, ga2, gb2 = (np.array(c) for c in zip(*draws))
     params = SystemParams(n_a=0.1, n_b=0.2, p_max=p_max, gamma_max=gamma_max, zeta=zeta)
-    ne = solve_ne_arrays(ChannelGains(h2, ga2, gb2), params)
-    nj = solve_nj_arrays(ChannelGains(h2, ga2, gb2), params)
+    ne = ChannelBatch(ChannelGains(h2, ga2, gb2), params).ne(params.p_max)
+    nj = ChannelBatch(ChannelGains(h2, ga2, gb2), params).nj(params.p_max)
     for arr in (ne.tau, ne.value, nj.p, nj.tau, nj.value):
         assert np.all(np.isfinite(arr))
     for tau in (ne.tau, nj.tau):
@@ -117,8 +116,8 @@ def test_solvers_over_the_whole_gain_range(draws, zeta, sir_db):
                           gamma_max=10.0, zeta=zeta)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        ne = solve_ne_arrays(gains, params)
-        nj = solve_nj_arrays(gains, params)
+        ne = ChannelBatch(gains, params).ne(params.p_max)
+        nj = ChannelBatch(gains, params).nj(params.p_max)
         sign = jamming_sign(nj.p, nj.tau, gains, params)
         grid = [nj_grid_value(ChannelGains(*draw), params, n=64) for draw in draws]
     assert np.all(np.isfinite(ne.value)) and np.all(np.isfinite(nj.value))
@@ -143,8 +142,8 @@ def test_solvers_over_the_whole_jamming_budget_range(draws, gamma_max, zeta, sir
                           gamma_max=gamma_max, zeta=zeta)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        ne = solve_ne_arrays(gains, params)
-        nj = solve_nj_arrays(gains, params)
+        ne = ChannelBatch(gains, params).ne(params.p_max)
+        nj = ChannelBatch(gains, params).nj(params.p_max)
         caps = [capacity(params.p_max, tau, gamma_max, gains, params)
                 for tau in (0.0, 0.5, TAU_LIMIT)]
         grid = [ne_grid_optimum(ChannelGains(*draw), params, n=64)[1] for draw in draws]

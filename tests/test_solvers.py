@@ -20,12 +20,11 @@ from ehjam import (
     nj_grid_value,
     p_threshold,
     solve_ne,
-    solve_ne_arrays,
     solve_nj,
-    solve_nj_arrays,
     tau_profile_capacity,
     verify_saddle_point,
 )
+from ehjam import solvers
 from ehjam.model import TAU_LIMIT
 from ehjam.solvers import _profile_tau
 from helpers import (
@@ -136,7 +135,7 @@ def test_tau_star_exact_for_tiny_harvesting_coefficient():
     assert value >= vals[best] * (1.0 - 1e-12)
     # the array core returns the same tau for the same draw inside a batch
     batch = ChannelGains(np.array([1.0, 1e-14]), np.array([1.0, 1.0]), np.array([0.2, 0.2]))
-    assert solve_ne_arrays(batch, params).tau[1] == tau
+    assert ChannelBatch(batch, params).ne(params.p_max).tau[1] == tau
     assert solve_ne(gains, params).profile.legit.tau == tau
 
 
@@ -277,7 +276,7 @@ def test_solve_nj_zero_efficiency_interference_free_jammer():
     assert res.profile.legit.tau == 0.0
     assert res.value == capacity(params.p_max, 0.0, 0.0, gains, params)
     batch = ChannelGains(np.array([1.0, 0.5]), np.array([1.0, 1.0]), np.array([0.0, 0.2]))
-    assert solve_nj_arrays(batch, params).value[0] == res.value
+    assert ChannelBatch(batch, params).nj(params.p_max).value[0] == res.value
 
 
 @pytest.mark.parametrize("ga2, gb2", [(1.0, 5e-324), (1.0, 1e-310), (1e300, 1e-300)])
@@ -369,8 +368,9 @@ def test_channel_batch_reused_across_budgets_matches_fresh_solves():
     batch = ChannelBatch(gains, params_at_sir(0.0))
     for sir_db in (10.0, -30.0, 0.0, -12.5):
         params = params_at_sir(sir_db)
-        for got, fresh in ((batch.ne(params.p_max), solve_ne_arrays(gains, params)),
-                           (batch.nj(params.p_max), solve_nj_arrays(gains, params))):
+        fresh_batch = ChannelBatch(gains, params)
+        for got, fresh in ((batch.ne(params.p_max), fresh_batch.ne(params.p_max)),
+                           (batch.nj(params.p_max), fresh_batch.nj(params.p_max))):
             for a, b in zip(got, fresh):
                 assert np.array_equal(a, b)
 
@@ -381,6 +381,16 @@ def test_channel_batch_rejects_a_budget_outside_the_float_range(p_max):
     for solve in (batch.ne, batch.nj):
         with pytest.raises(ValueError, match="p_max must be positive and finite"):
             solve(p_max)
+
+
+def test_solve_nj_reads_the_threshold_at_its_final_tau_once(monkeypatch):
+    # one call for K/2 and one per pass of the ulp-nudge loop; the final p
+    # reuses the loop's last threshold
+    calls = []
+    real = solvers.p_threshold
+    monkeypatch.setattr(solvers, "p_threshold", lambda *a: calls.append(1) or real(*a))
+    solve_nj(ChannelGains(1.0, 1.0, 0.2), params_at_sir(10.0))
+    assert len(calls) == 2
 
 
 # --- saddle point verification ----------------------------------------------
@@ -426,6 +436,10 @@ def test_verify_saddle_point_grid_validation():
     res = solve_ne(gains, params)
     with pytest.raises(ValueError):
         verify_saddle_point(res.profile, gains, params, grid_sizes=(1, 10, 10))
+    for tol in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            verify_saddle_point(res.profile, gains, params, grid_sizes=(10, 10, 10),
+                                tol=tol)
 
 
 # --- structure of the full-power objective ----------------------------------
