@@ -16,12 +16,13 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import shlex
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .experiments import SweepConfig, sample_channels, sir_points, sir_sweep, write_csv
+from .experiments import SweepConfig, sample_channels, sir_sweep, transmit_budget, write_csv
 from .model import ChannelGains, SystemParams, db_to_linear, linear_to_db
 from .solvers import solve_ne, solve_nj, verify_saddle_point
 
@@ -48,7 +49,12 @@ _NOT_ECHOED = ("command", "cmd", "echo_config")
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with config errors mapped to exit code 1."""
+    """argparse with config errors mapped to exit code 1 and a separate
+    "-1e-05", "-inf" or "-nan" read as a value (argparse alone: as a flag)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(?:\d|\.\d|inf|nan)", re.I)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -149,16 +155,6 @@ def _build_params(args) -> SystemParams:
     return SystemParams(**{"p_max": 1.0, **powers}, zeta=args.zeta)
 
 
-def _params_at_sir(params: SystemParams, sir_db: float) -> SystemParams:
-    """params with the transmit budget P = gamma*10^(SIR/10) of one SIR point."""
-    p_max = params.gamma_max * db_to_linear(sir_db)
-    if not 0.0 < p_max < math.inf:
-        raise ValueError(f"--gamma-mw {_fmt_exact(params.gamma_max)} leaves P ="
-                         f" gamma*10^(SIR/10) = {_fmt(p_max)} mW at SIR {_fmt(sir_db)} dB;"
-                         " P must be positive and finite")
-    return replace(params, p_max=p_max)
-
-
 def _echo(args, params: SystemParams) -> None:
     """Print the run's flags as one shell-quoted line: powers as exact mW,
     every other flag as parsed."""
@@ -171,7 +167,7 @@ def _echo(args, params: SystemParams) -> None:
             continue
         flag = "--" + key.replace("_", "-")
         text = _fmt_exact(value) if isinstance(value, float) else str(value)
-        # argparse reads a separate "-1e-05" or "-x.csv" as a flag, not a value
+        # a separate "-x.csv" would read as a flag, not a value
         flags += [f"{flag}={text}"] if text.startswith("-") else [flag, text]
     print("# flags: " + shlex.join(flags))
 
@@ -214,8 +210,6 @@ def _cmd_sweep(args, params) -> int:
         mc_draws=args.draws,
         rng_seed=args.seed,
     )
-    for sir_db in sir_points(config):
-        _params_at_sir(params, sir_db)
     records = sir_sweep(config)
     write_csv(records, args.out, config)
     print(f"wrote {args.out} ({len(records)} SIR points)")
@@ -226,8 +220,6 @@ def _cmd_verify(args, params0) -> int:
     if args.sets < 1:
         print("ehjam verify: error: --sets must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
-    if not params0.gamma_max > 0.0:
-        raise ValueError("verify needs gamma_max > 0 to derive P from SIR")
     if not math.isfinite(args.tol):  # also when every set skips the saddle check
         raise ValueError("--tol must be finite")
     grid = (args.legit_grid, args.legit_grid, args.jammer_grid)
@@ -237,7 +229,7 @@ def _cmd_verify(args, params0) -> int:
     for i in range(args.sets):
         gains = sample_channels(args.seed, i)
         sir_db = _VERIFY_SIRS_DB[i % len(_VERIFY_SIRS_DB)]
-        params = _params_at_sir(params0, sir_db)
+        params = replace(params0, p_max=transmit_budget(params0.gamma_max, sir_db))
         ne = solve_ne(gains, params)
         nj = solve_nj(gains, params)
         dominance_gap = nj.value - ne.value  # positive would violate dominance

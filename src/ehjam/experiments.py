@@ -36,6 +36,7 @@ __all__ = [
     "sample_channels",
     "sir_points",
     "sir_sweep",
+    "transmit_budget",
     "write_csv",
 ]
 
@@ -104,10 +105,10 @@ class SweepConfig:
     """SIR sweep description, SIR in dB.
 
     The jamming budget gamma_max is held fixed; the transmit budget at each
-    point is P = gamma_max * 10**(sir_db/10), passed to ChannelBatch as a
-    float, so params.p_max is ignored. fixed_gains replaces the mc_draws
-    random channels by that one channel: the Monte Carlo sweep with a single
-    draw.
+    point is transmit_budget(gamma_max, sir_db), passed to ChannelBatch as a
+    float, so params.p_max is ignored. Every point's budget is checked here,
+    before any work. fixed_gains replaces the mc_draws random channels by that
+    one channel: the Monte Carlo sweep with a single draw.
     """
 
     sir_start_db: float
@@ -129,8 +130,8 @@ class SweepConfig:
             raise ValueError("mc_draws must be >= 1")
         if not 0 <= self.rng_seed < 2**128:
             raise ValueError("rng_seed must lie in [0, 2**128)")
-        if not self.params.gamma_max > 0.0:
-            raise ValueError("sweep needs gamma_max > 0 to derive P from SIR")
+        for sir_db in sir_points(self):
+            transmit_budget(self.params.gamma_max, sir_db)
 
 
 @dataclass(frozen=True)
@@ -152,6 +153,16 @@ class SweepRecord:
 
 #: CSV columns, in SweepRecord field order.
 _CSV_COLUMNS = tuple(f.name for f in fields(SweepRecord))
+
+
+def transmit_budget(gamma_max: float, sir_db: float) -> float:
+    """The transmit budget P = gamma_max * 10**(sir_db/10) of one SIR point, in mW."""
+    p_max = gamma_max * db_to_linear(sir_db)
+    if not 0.0 < p_max < math.inf:
+        raise ValueError(f"gamma_max {gamma_max:.17g} mW leaves P = gamma_max*10^(SIR/10)"
+                         f" = {p_max:.12g} mW at SIR {sir_db:.12g} dB;"
+                         " P must be positive and finite")
+    return p_max
 
 
 def sir_points(config: SweepConfig) -> list[float]:
@@ -199,7 +210,7 @@ def sir_sweep(config: SweepConfig) -> list[SweepRecord]:
     chunk of _CHUNK_DRAWS draws is solved at every SIR point in turn."""
     sirs = sir_points(config)
     params, gamma_max = config.params, config.params.gamma_max
-    budgets = [gamma_max * db_to_linear(sir_db) for sir_db in sirs]
+    budgets = [transmit_budget(gamma_max, sir_db) for sir_db in sirs]
     if config.fixed_gains is not None:
         g = config.fixed_gains
         draws, blocks = 1, [np.array([[g.h2, g.ga2, g.gb2]], dtype=float)]

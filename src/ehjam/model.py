@@ -201,10 +201,12 @@ def p_threshold(tau, gains: ChannelGains, params: SystemParams):
 
     Linear in the EH fraction: ``tau * K`` with the slope (mW per unit tau)
     ``K = (ga2*n_b/gb2 - n_a) * zeta``, 0 when zeta == 0, and the one place K
-    and that product are formed. Unbounded rule: +inf at every tau where
-    gb2 == 0 (the jammer cannot reach the receiver, so every power
-    neutralizes, zeta == 0 included), +inf for tau > 0 where K overflows, and
-    0 at tau == 0 otherwise.
+    and that product are formed. Where ga2*n_b/gb2 = X overflows but zeta > 0,
+    K is formed from logarithms as zeta*X*(1 - n_a/X), so a tiny zeta can
+    bring it back into range. Unbounded rule: +inf at every tau where gb2 == 0
+    (the jammer cannot reach the receiver, so every power neutralizes, zeta ==
+    0 included), +inf for tau > 0 where even that K overflows, and 0 at
+    tau == 0 otherwise.
     """
     t = np.asarray(tau, dtype=float)
     if np.any(t < 0.0) or np.any(t >= 1.0):
@@ -212,6 +214,11 @@ def p_threshold(tau, gains: ChannelGains, params: SystemParams):
     gb2 = np.asarray(gains.gb2, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         k = (gains.ga2 * params.n_b / gb2 - params.n_a) * params.zeta
+        huge = np.isinf(k) & (gb2 > 0.0) & (params.zeta > 0.0)
+        if np.any(huge):  # X = ga2*n_b/gb2 overflows, zeta*X may not
+            log_x = np.log(gains.ga2) + math.log(params.n_b) - np.log(gb2)
+            zeta_x = np.exp(math.log(params.zeta) + log_x)
+            k = np.where(huge, zeta_x * (1.0 - params.n_a / np.exp(log_x)), k)
         p = t * np.where(params.zeta == 0.0, 0.0, k)
     p = np.where(gb2 == 0.0, math.inf, np.where(t == 0.0, 0.0, p))
     return float(p) if p.ndim == 0 else p

@@ -293,7 +293,7 @@ class ChannelBatch:
         gains, params, feasible = self.gains, self.params, self.feasible
         k_half, t_hat = self._threshold
         # P/K, the kink: the threshold is linear in tau, K = p_threshold(0.5)/0.5
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):  # an inf kink is exact
             p_inv = np.divide(0.5 * p_max, k_half)
         t_tilde = self._fixed_power_tau(p_max, 0.0)
 

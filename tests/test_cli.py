@@ -89,6 +89,16 @@ def test_nj_zero_efficiency_interference_free_jammer(capsys, tmp_path):
     # tau_hat = 0.65369436172129387, C = 0.229902574074124
     (["nj", "--h2", "1", "--ga2", "1e-310", "--gb2", "1e-310"],
      "NJ-case-a", "0.229902574074"),
+    # the kink P/K overflows: an infinite kink is the exact answer
+    (["nj", "--zeta", "1e-300", "--p-mw", "1e10", "--h2", "1", "--ga2", "1", "--gb2", "1"],
+     "NJ-case-a", "7.21347519723e-301"),
+    (["nj", "--p-mw", "1e308", "--h2", "1", "--ga2", "1", "--gb2", "1"],
+     "NJ-case-a", "0.229902574074"),
+    # ga2*n_b/gb2 overflows while K = zeta*(ga2*n_b/gb2 - n_a) = 2e4; 50-digit
+    # reference tau_hat = 0.10652915515792392, C = 6.0495075453732029
+    (["nj", "--p-mw", "1e5", "--zeta", "1e-305", "--h2", "1", "--ga2", "1e300",
+      "--gb2", "1e-10"],
+     "NJ-case-a", "6.04950754537"),
 ])
 def test_huge_gains_finite_without_warnings(capsys, argv, regime, capacity_bpcu):
     with warnings.catch_warnings():
@@ -261,12 +271,21 @@ def test_verify_fails_with_impossible_tolerance(capsys):
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("sets, seed", [("4", "0"), ("1", "1")])  # seed 1: set 0 is skipped
 def test_verify_rejects_non_finite_tolerance(capsys, tol, sets, seed):
-    # "--tol -inf" would read -inf as a flag, so the value is joined with "="
     assert run(["verify", f"--tol={tol}", "--sets", sets, "--seed", seed,
                 "--legit-grid", "20", "--jammer-grid", "20"]) == 1
     out, err = capsys.readouterr()
     assert "result=" not in out
     assert "--tol must be finite" in err
+
+
+def test_negative_values_as_separate_arguments(tmp_path, capsys):
+    # argparse alone reads a separate "-inf" or "-1e-5" as a flag
+    assert run(["verify", "--tol", "-inf", "--sets", "1"]) == 1
+    assert "--tol must be finite" in capsys.readouterr().err
+    out = tmp_path / "s.csv"
+    assert run(["sweep", "--sir-start-db", "-1e-5", "--draws", "100",
+                "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[-11].startswith("-1.0000000000000001e-05,")
 
 
 def test_verify_rejects_zero_sets(capsys):
@@ -276,7 +295,7 @@ def test_verify_rejects_zero_sets(capsys):
 
 def test_verify_rejects_zero_jamming_budget(capsys):
     assert run(["verify", "--gamma-mw", "0", "--sets", "2"]) == 1
-    assert "verify needs gamma_max > 0 to derive P from SIR" in capsys.readouterr().err
+    assert "= 0 mW at SIR -30 dB" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["sweep", "verify"])
@@ -285,7 +304,7 @@ def test_tiny_jamming_budget_names_the_flag_and_the_sir_point(tmp_path, capsys, 
     extra = ["--out", str(tmp_path / "s.csv")] if command == "sweep" else ["--sets", "2"]
     assert run([command, "--gamma-mw", "1e-322", *extra]) == 1
     err = capsys.readouterr().err
-    assert "--gamma-mw 9.8813129168249309e-323" in err
+    assert "gamma_max 9.8813129168249309e-323" in err
     assert "= 0 mW at SIR -30 dB" in err
     assert not (tmp_path / "s.csv").exists()
 

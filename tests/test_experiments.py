@@ -1,6 +1,7 @@
 import math
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -170,10 +171,15 @@ def test_fixed_gain_sweep_matches_scalar_solvers():
 
 
 def test_sweep_rejects_budget_that_underflows():
-    # P = 1e-322 * 10**-3 is 0 at -30 dB: the library path, with no CLI check
-    cfg = SweepConfig(-30.0, 10.0, 1.0, reference_params(gamma_max=1e-322), mc_draws=10)
-    with pytest.raises(ValueError, match="p_max must be positive and finite"):
-        sir_sweep(cfg)
+    # the library path: the config itself is rejected, before any solve, for
+    # P = 1e-322 * 10**-3 (underflows) and P = 1e308 * 10**0.3 (overflows)
+    for gamma_max, message in ((1e-322, "= 0 mW at SIR -30 dB"),
+                               (1e308, "= inf mW at SIR 3 dB")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                SweepConfig(-30.0, 10.0, 1.0, reference_params(gamma_max=gamma_max),
+                            mc_draws=10)
 
 
 def test_mc_sweep_record_invariants_and_determinism():

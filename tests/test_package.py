@@ -1,9 +1,13 @@
-"""Checks on the package as a whole: the README's library sketch runs, and the
-modules keep to one owner per name (no private imports across modules, every
-exported name defined where it is exported)."""
+"""Checks on the package as a whole: the README's library sketch and CLI
+examples run, and the modules keep to one owner per name (no private imports
+across modules, every exported name defined where it is exported)."""
 
 import ast
+import os
 import re
+import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -25,6 +29,18 @@ def test_readme_library_sketch_runs():
         warnings.simplefilter("error")
         exec(compile(sketch, "README.md", "exec"), namespace)
     assert namespace["ok"] is True
+
+
+def test_readme_cli_examples_run(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^## CLI\n\n```\n(.*?)^```", readme, re.M | re.S)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert commands and all(argv[0] == "ehjam" for argv in commands)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "EHJAM_OUTPUT_DIR": str(tmp_path)}
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, (argv, proc.stderr)
 
 
 def test_no_module_imports_a_private_name_of_another():

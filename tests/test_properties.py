@@ -1,7 +1,7 @@
 """Property tests of the closed-form tau and the array solver cores over
 extreme inputs: profile coefficients from 0 to 1e13, gains of 0, subnormal
-or up to 1e300, zeta in {0, 1} and jamming budgets from 0 to 1e300, next to
-ordinary values."""
+or up to 1e300, zeta from 0 (and subnormal) to 1 and jamming budgets from 0
+to 1e300, next to ordinary values."""
 
 import warnings
 
@@ -106,7 +106,7 @@ _SUBNORMAL_LINK = st.builds(lambda h2, ratio, gb2: (h2, ratio * gb2, gb2),
 @given(
     draws=st.lists(st.one_of(st.tuples(_WIDE_GAIN, _WIDE_GAIN, _WIDE_GAIN),
                              _SUBNORMAL_LINK), min_size=1, max_size=4),
-    zeta=st.sampled_from([0.0, 0.3, 1.0]),
+    zeta=st.sampled_from([0.0, 1e-310, 1e-305, 0.3, 1.0]),
     sir_db=st.floats(-40.0, 40.0),
 )
 def test_solvers_over_the_whole_gain_range(draws, zeta, sir_db):
@@ -131,7 +131,7 @@ def test_solvers_over_the_whole_gain_range(draws, zeta, sir_db):
 @given(
     draws=st.lists(st.tuples(_WIDE_GAIN, _WIDE_GAIN, _WIDE_GAIN), min_size=1, max_size=4),
     gamma_max=st.one_of(st.just(0.0), _log_uniform(-300.0, 300.0)),
-    zeta=st.sampled_from([0.0, 0.3, 1.0]),
+    zeta=st.sampled_from([0.0, 1e-310, 1e-305, 0.3, 1.0]),
     sir_db=st.floats(-40.0, 40.0),
 )
 def test_solvers_over_the_whole_jamming_budget_range(draws, gamma_max, zeta, sir_db):

@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -297,6 +298,28 @@ def test_solve_nj_threshold_slope_overflow(ga2, gb2):
     assert legit.p == params.p_max
     assert legit.tau > 0.0
     assert sign >= 0.0
+
+
+def test_solve_nj_threshold_slope_back_in_range_at_tiny_efficiency():
+    # ga2*n_b/gb2 = 2e309 overflows, but K = zeta*(ga2*n_b/gb2 - n_a) = 2e4,
+    # so P/K = 5: case a. K used to read inf, which picked full power at a
+    # subnormal tau: a profile that does not neutralize and beats solve_ne.
+    # 50-digit references: tau_hat = 0.10652915515792392, C = 6.0495075453732029
+    params = SystemParams(n_a=0.1, n_b=0.2, p_max=1e5, gamma_max=10.0, zeta=1e-305)
+    gains = ChannelGains(1.0, 1e300, 1e-10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve_nj(gains, params)
+        ne = solve_ne(gains, params)
+    legit = res.profile.legit
+    assert res.regime is SolutionRegime.NJ_CASE_A
+    assert res.value == pytest.approx(6.0495075453732029, rel=1e-12)
+    assert legit.tau == pytest.approx(0.10652915515792392, rel=1e-9)
+    assert res.value <= ne.value
+    # the jammer stays silent: p <= tau*K in exact rational arithmetic
+    k_true = Fraction(params.zeta) * (Fraction(gains.ga2) * Fraction(params.n_b)
+                                      / Fraction(gains.gb2) - Fraction(params.n_a))
+    assert Fraction(legit.p) <= Fraction(legit.tau) * k_true
 
 
 # --- solve_ne ---------------------------------------------------------------
