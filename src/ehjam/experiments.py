@@ -16,8 +16,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from numpy.random import Generator, Philox
-from scipy.special import ndtri
+from numpy.random import Philox
 
 from .model import (
     ChannelGains,
@@ -46,6 +45,76 @@ DOMINANCE_TOL = 1e-9
 #: Draws per chunk of a Monte Carlo sweep; results do not depend on it.
 _CHUNK_DRAWS = 2**15
 
+#: Most SIR points a sweep may have; every point solves every draw again.
+_MAX_SIR_POINTS = 100_000
+
+#: Wichura's AS241 PPND16 (Appl. Stat. 37(3), 1988): coefficients, highest
+#: degree first, numerator + 1j*denominator, of the normal quantile's
+#: rationals for |u - 0.5| <= 0.425 in r = 0.180625 - (u - 0.5)^2, then in
+#: r = sqrt(-log(min(u, 1 - u))) for r <= 5 (in r - 1.6) and beyond (in r - 5).
+_AS241_CENTRAL = tuple(map(
+    complex,
+    (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+     4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+     1.3314166789178437745e+2, 3.3871328727963666080e+0),
+    (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+     2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+     4.2313330701600911252e+1, 1.0)))
+_AS241_TAIL = tuple(map(
+    complex,
+    (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+     1.27045825245236838258e+0, 3.64784832476320460504e+0, 5.76949722146069140550e+0,
+     4.63033784615654529590e+0, 1.42343711074968357734e+0),
+    (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+     1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e+0,
+     2.05319162663775882187e+0, 1.0)))
+_AS241_FAR = tuple(map(
+    complex,
+    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+     2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e+0,
+     5.46378491116411436990e+0, 6.65790464350110377720e+0),
+    (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+     7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+     5.99832206555887937690e-1, 1.0)))
+
+
+def _rational(coefficients, r):
+    """(numerator, denominator) of a rational in real r by Horner's rule, run
+    once on numerator + 1j*denominator: multiplying by a real r and adding a
+    constant act on each part alone, exactly, at half the numpy calls."""
+    acc = coefficients[0] * r
+    for c in coefficients[1:-1]:
+        acc += c
+        acc *= r
+    acc += coefficients[-1]
+    return acc.real, acc.imag
+
+
+def _ndtri(u):
+    """Standard-normal quantile of an array u in [0, 1], elementwise, by AS241
+    (relative error about 1e-16): -inf at 0 and inf at 1. The central
+    rational runs on every element, the tail ones only on |u - 0.5| > 0.425
+    (about 15% of uniform draws) and on r > 5 (u below 1.4e-11 or above
+    1 - 1.4e-11)."""
+    q = u - 0.5
+    num, den = _rational(_AS241_CENTRAL, 0.180625 - q * q)
+    x = q * num
+    x /= den
+    del num, den  # a complex array twice the size of u
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    if tail.size:
+        with np.errstate(divide="ignore", invalid="ignore"):  # u in {0, 1}: r is inf
+            u_tail = u.flat[tail]
+            r = np.sqrt(-np.log(np.minimum(u_tail, 1.0 - u_tail)))
+            num, den = _rational(_AS241_TAIL, r - 1.6)
+            x_tail = num / den
+            far = np.flatnonzero(r > 5.0)
+            if far.size:
+                num, den = _rational(_AS241_FAR, r[far] - 5.0)
+                x_tail[far] = np.where(np.isinf(r[far]), np.inf, num / den)
+        x.flat[tail] = np.copysign(x_tail, q.flat[tail])
+    return x
+
 
 def _gain_block(seed: int, start: int, count: int) -> np.ndarray:
     """(count, 3) squared standard-normal gains for draws start..start+count-1.
@@ -56,9 +125,14 @@ def _gain_block(seed: int, start: int, count: int) -> np.ndarray:
     bit_gen = Philox(key=seed)
     if start:
         bit_gen.advance(start)
-    raw = Generator(bit_gen).integers(0, 2**64, size=(count, 4), dtype=np.uint64)
-    u = ((raw[:, :3] >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u) ** 2
+    raw = bit_gen.random_raw((count, 4))  # what Generator.integers(0, 2**64) gives
+    u = (raw[:, :3] >> np.uint64(11)).astype(np.float64)
+    del raw
+    u += 0.5
+    u *= 2.0**-53
+    x = _ndtri(u)
+    x *= x
+    return x
 
 
 def sample_channels(seed: int, index: int) -> ChannelGains:
@@ -106,9 +180,10 @@ class SweepConfig:
 
     The jamming budget gamma_max is held fixed; the transmit budget at each
     point is transmit_budget(gamma_max, sir_db), passed to ChannelBatch as a
-    float, so params.p_max is ignored. Every point's budget is checked here,
-    before any work. fixed_gains replaces the mc_draws random channels by that
-    one channel: the Monte Carlo sweep with a single draw.
+    float, so params.p_max is ignored. The grid size (see sir_points) and
+    every point's budget are checked here, before any work. fixed_gains
+    replaces the mc_draws random channels by that one channel: the Monte
+    Carlo sweep with a single draw.
     """
 
     sir_start_db: float
@@ -130,8 +205,12 @@ class SweepConfig:
             raise ValueError("mc_draws must be >= 1")
         if not 0 <= self.rng_seed < 2**128:
             raise ValueError("rng_seed must lie in [0, 2**128)")
-        for sir_db in sir_points(self):
-            transmit_budget(self.params.gamma_max, sir_db)
+        sirs = np.array(sir_points(self))
+        gamma_max = self.params.gamma_max
+        with np.errstate(over="ignore"):
+            budgets = gamma_max * db_to_linear(sirs)
+        for sir_db in sirs[~((budgets > 0.0) & (budgets < math.inf))]:
+            transmit_budget(gamma_max, float(sir_db))  # raises, naming the point
 
 
 @dataclass(frozen=True)
@@ -166,9 +245,13 @@ def transmit_budget(gamma_max: float, sir_db: float) -> float:
 
 
 def sir_points(config: SweepConfig) -> list[float]:
-    """Inclusive dB grid start, start+step, ... up to stop (1e-9 slack)."""
-    n = int(math.floor((config.sir_stop_db - config.sir_start_db)
-                       / config.sir_step_db + 1e-9)) + 1
+    """Inclusive dB grid start, start+step, ... up to stop (1e-9 slack), of at
+    most 100,000 points (_MAX_SIR_POINTS); a finer grid raises ValueError."""
+    steps = (config.sir_stop_db - config.sir_start_db) / config.sir_step_db + 1e-9
+    if not steps < _MAX_SIR_POINTS:
+        raise ValueError(f"the SIR grid has more than {_MAX_SIR_POINTS} points;"
+                         " widen sir_step_db or narrow the SIR range")
+    n = int(math.floor(steps)) + 1
     return [config.sir_start_db + i * config.sir_step_db for i in range(n)]
 
 
@@ -231,6 +314,7 @@ def sir_sweep(config: SweepConfig) -> list[SweepRecord]:
                                           metric_f(ne.value, c_no_eh),
                                           metric_fnj(ne.value, nj.value))):
                 col += _exact_parts(values)
+        del batch, ne, nj, c_no_eh, values  # free this chunk before the next is drawn
     return [_make_record(sir_db, cols, draws, feasible / draws)
             for sir_db, cols in zip(sirs, parts)]
 

@@ -34,6 +34,7 @@ __all__ = [
     "neutralization_feasible",
     "p_threshold",
     "snr_factors",
+    "snr_scale",
 ]
 
 _LN2 = math.log(2.0)
@@ -82,7 +83,7 @@ class ChannelGains:
     def __post_init__(self):
         for name in ("h2", "ga2", "gb2"):
             v = np.asarray(getattr(self, name))
-            if not np.all(np.isfinite(v)) or np.any(v < 0.0):
+            if not ((v >= 0.0) & (v < math.inf)).all():
                 raise ValueError(f"{name} must be finite and >= 0")
 
 
@@ -138,14 +139,20 @@ def _check_nonneg(name, value):
         raise ValueError(f"{name} must be >= 0")
 
 
+def snr_scale(gamma):
+    """max(gamma, 1), elementwise: snr_factors divides every SNR term by it,
+    so p' = p/snr_scale(gamma)."""
+    return np.maximum(gamma, 1.0)
+
+
 def snr_factors(p, gamma, gains: ChannelGains, params: SystemParams):
     """(p', lead, den), elementwise, with SNR (p' + tau*lead)*h2/((1-tau)*den).
 
     The one place that forms the transmit term p, the harvestable term
     zeta*(gamma*ga2 + n_a) and the interference-plus-noise term gamma*gb2 +
-    n_b, each divided by max(gamma, 1) so gamma times a gain stays finite.
+    n_b, each divided by snr_scale(gamma) so gamma times a gain stays finite.
     """
-    scale = np.maximum(gamma, 1.0)
+    scale = snr_scale(gamma)
     share = gamma / scale  # min(gamma, 1), exactly
     return (p / scale, params.zeta * (share * gains.ga2 + params.n_a / scale),
             share * gains.gb2 + params.n_b / scale)

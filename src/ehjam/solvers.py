@@ -27,7 +27,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import lambertw, wrightomega
 
 from .model import (
     TAU_LIMIT,
@@ -42,6 +41,7 @@ from .model import (
     neutralization_feasible,
     p_threshold,
     snr_factors,
+    snr_scale,
 )
 
 __all__ = [
@@ -68,6 +68,8 @@ _TAU_PROBE = 1e-6
 #: Below this beta the branch-point series for the optimal SNR term is exact
 #: to rounding, while W0((beta-1)/e) has lost about half its digits.
 _SERIES_BETA = 1e-6
+
+_SQRT_2E = math.sqrt(2.0 * math.e)
 
 
 @dataclass(frozen=True)
@@ -111,6 +113,51 @@ def _tau_derivative(tau, alpha, beta):
     return (-np.log1p(x) + (alpha + beta) / d) / math.log(4.0)  # 2 ln 2
 
 
+def _lambert_w0(z):
+    """Principal real branch W0 of the Lambert W function, w*exp(w) = z,
+    elementwise for finite z > -1/e (Corless et al. 1996); nan elsewhere,
+    the branch point itself included.
+
+    The start is the branch-point series -1 + y - y^2/3 + ... (to y^5) in
+    y = sqrt(2*(e*z + 1)) below z = -0.27, the Pade form z*(1 + 4z/3)/(1 +
+    7z/3 + 5z^2/6) up to z = 1 (exact to rounding as z -> 0, so tiny z keep
+    their relative accuracy), and Winitzki's approximation (2003, relative
+    error below 1e-3) beyond; two Halley steps on w - z*exp(-w) = 0 (which
+    cannot overflow) then leave only rounding error, which near the branch
+    point grows as 1/(1 + w), the conditioning of W0 itself. The start is
+    picked by arithmetic, not np.where, so a numpy float stays a scalar and a
+    one-channel solve pays no array overhead.
+    """
+    y = _SQRT_2E * np.sqrt(z + 1.0 / math.e)
+    # Winitzki: (2 L - ln(1 + C ln(1 + Dy)) + E) / (1 + 1/(2 L + 2A)), L = ln(1 + By)
+    log_by = np.log1p(0.8842 * y)
+    w = ((2.0 * log_by - np.log1p(0.9294 * np.log1p(0.5106 * y)) - 1.213)
+         / (1.0 + 1.0 / (2.0 * log_by + 4.688)))
+    x = np.minimum(z, 1.0)  # x and p keep the starts not taken finite
+    pade = x * (1.0 + 4.0 / 3.0 * x) / (1.0 + x * (7.0 / 3.0 + 5.0 / 6.0 * x))
+    w = w + (z < 1.0) * (pade - w)
+    p = np.minimum(y, 1.0)
+    series = p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 + p * (
+        -43.0 / 540.0 + p * (769.0 / 17280.0))))) - 1.0
+    w = w + (z < -0.27) * (series - w)
+    for _ in range(2):
+        f = w - z * np.exp(-w)
+        w = w - f / ((w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+    return w
+
+
+def _wright_omega(x):
+    """Wright omega function, w + log(w) = x, elementwise for 10 <= x <= 1e150
+    (rounding error only): the asymptotic start x - log x + log(x)/x and one
+    fourth-order step of Fritsch, Shafer and Crowley, as in Lawrence, Corless
+    and Jeffrey (ACM TOMS 38(3), 2012)."""
+    log_x = np.log(x)
+    w = x - log_x + log_x / x
+    r = x - w - np.log(w)
+    t = (1.0 + w) * (1.0 + w + 2.0 / 3.0 * r)
+    return w * (1.0 + r / (1.0 + w) * (t - 0.5 * r) / (t - r))
+
+
 def _optimal_snr(beta):
     """SNR term s at the stationary point of the canonical profile, elementwise.
 
@@ -120,7 +167,7 @@ def _optimal_snr(beta):
     instead; the W0 start gets one Newton step on the s-equation.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.expm1(1.0 + lambertw((beta - 1.0) / math.e).real)
+        s = np.expm1(1.0 + _lambert_w0((beta - 1.0) / math.e))
         log1p_s = np.log1p(s)
         s = s - ((1.0 + s) * log1p_s - s - beta) / log1p_s
         q = np.sqrt(2.0 * beta)
@@ -159,7 +206,7 @@ def _profile_tau(profile: FixedPower | OnThreshold, gains: ChannelGains,
         if np.any(over):
             log1p_beta = log1p_snr(lead, gains.h2, den)
             beta = np.where(over, np.expm1(log1p_beta), beta)
-            w = wrightomega(log1p_beta - 1.0)
+            w = _wright_omega(log1p_beta - 1.0)
     s = _optimal_snr(beta)
 
     def tau(p=p0):
@@ -263,7 +310,7 @@ class ChannelBatch:
         if gamma not in self._taus:
             self._taus[gamma] = _profile_tau(FixedPower(p_max, gamma), self.gains,
                                              self.params)
-        return self._taus[gamma](snr_factors(p_max, gamma, self.gains, self.params)[0])
+        return self._taus[gamma](p_max / snr_scale(gamma))
 
     @cached_property
     def _threshold(self):

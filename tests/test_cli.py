@@ -325,6 +325,13 @@ def test_sweep_rejects_infinite_sir(tmp_path, capsys):
     assert "SIR range must be finite" in capsys.readouterr().err
 
 
+def test_sweep_rejects_a_grid_beyond_the_point_bound(tmp_path, capsys):
+    # a configuration error like every other bad sweep flag: exit 1, no file
+    assert run(["sweep", "--sir-step-db", "1e-300", "--out", str(tmp_path / "s.csv")]) == 1
+    assert "the SIR grid has more than 100000 points" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_decibel_overflow_exits_1(tmp_path, capsys):
     assert run(["ne", "--p-dbm", "4000", "--h2", "1", "--ga2", "1", "--gb2", "0.2"]) == 1
     assert "ehjam: error: decibel value out of range" in capsys.readouterr().err

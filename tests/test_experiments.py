@@ -128,6 +128,31 @@ def test_sweep_config_validation():
             SweepConfig(**bad)
 
 
+def test_sweep_config_bounds_the_sir_grid_before_building_it():
+    params = reference_params()
+    # 4e301 points: rejected from the step alone, before any list is built
+    with pytest.raises(ValueError, match="more than 100000 points"):
+        SweepConfig(-30.0, 10.0, 1e-300, params)
+    with pytest.raises(ValueError, match="more than 100000 points"):
+        SweepConfig(-30.0, 10.0, 5e-324, params)  # the step count overflows
+    with pytest.raises(ValueError, match="more than 100000 points"):
+        SweepConfig(0.0, 10.0, 1e-4, params)  # 100,001 points
+    assert len(sir_points(SweepConfig(0.0, 9.9999, 1e-4, params))) == 100_000
+
+
+def test_sweep_config_rejects_a_budget_leaving_the_float_range_at_one_point():
+    # P = gamma_max*10^(SIR/10) is finite up to 80 dB and inf at 90 dB only
+    params = reference_params(gamma_max=1e300)
+    SweepConfig(-30.0, 80.0, 10.0, params)
+    with pytest.raises(ValueError, match=r"= inf mW at SIR 90 dB"):
+        SweepConfig(-30.0, 90.0, 10.0, params)
+    # and 0 at -30 dB only
+    params = reference_params(gamma_max=1e-321)
+    SweepConfig(-20.0, 10.0, 10.0, params)
+    with pytest.raises(ValueError, match=r"= 0 mW at SIR -30 dB"):
+        SweepConfig(-30.0, 10.0, 10.0, params)
+
+
 def test_sir_points_inclusive_grid():
     params = reference_params()
     cfg = SweepConfig(-30.0, 10.0, 1.0, params)
@@ -229,8 +254,8 @@ def test_sweep_bytes_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, chun
 
 def test_tau_profiles_are_solved_once_per_chunk(monkeypatch):
     calls = []
-    real = solvers.lambertw
-    monkeypatch.setattr(solvers, "lambertw", lambda *a: calls.append(1) or real(*a))
+    real = solvers._lambert_w0
+    monkeypatch.setattr(solvers, "_lambert_w0", lambda *a: calls.append(1) or real(*a))
     gains, params = ChannelGains(1.0, 1.0, 0.2), params_at_sir(-10.0)
     for solve, expected in ((solve_ne, 1), (solve_nj, 2)):
         calls.clear()

@@ -15,6 +15,8 @@ from ehjam import (
     linear_to_db,
     neutralization_feasible,
     p_threshold,
+    snr_factors,
+    snr_scale,
 )
 from helpers import random_gains, reference_params
 
@@ -70,6 +72,24 @@ def test_channel_gains_validation():
     with pytest.raises(ValueError):
         ChannelGains(1.0, math.nan, 0.0)
     ChannelGains(0.0, 0.0, 0.0)  # zeros are allowed
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-320, -1.0])
+def test_channel_gains_reject_every_field_not_finite_and_nonnegative(bad):
+    for field in range(3):
+        for wrap in (float, lambda v: np.array([1.0, v, 0.5])):
+            values = [1.0, 1.0, 1.0]
+            values[field] = wrap(bad)
+            with pytest.raises(ValueError, match="must be finite and >= 0"):
+                ChannelGains(*values)
+    ChannelGains(-0.0, np.array([0.0, -0.0, 5e-324]), 1.7976931348623157e308)
+
+
+def test_snr_factors_divide_the_transmit_term_by_snr_scale():
+    gains, params = ChannelGains(1.0, 1.0, 0.2), reference_params()
+    for gamma in (0.0, 0.5, 1.0, 10.0, 1e300):
+        assert snr_scale(gamma) == max(gamma, 1.0)
+        assert snr_factors(3.7, gamma, gains, params)[0] == 3.7 / snr_scale(gamma)
 
 
 @pytest.mark.parametrize("kwargs", [

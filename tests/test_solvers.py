@@ -406,6 +406,21 @@ def test_channel_batch_rejects_a_budget_outside_the_float_range(p_max):
             solve(p_max)
 
 
+def test_channel_batch_forms_each_fixed_power_profile_once(monkeypatch):
+    # snr_factors runs once per jamming power (gamma_max for NE, 0 for NJ);
+    # a later budget only rescales P by snr_scale
+    calls = []
+    real = solvers.snr_factors
+    monkeypatch.setattr(solvers, "snr_factors", lambda *a: calls.append(a[1]) or real(*a))
+    batch = ChannelBatch(ChannelGains(np.array([1.0, 0.3]), np.array([1.0, 2.0]),
+                                      np.array([0.2, 1.5])), reference_params())
+    for sir_db in (-30.0, 0.0, 10.0):
+        p_max = params_at_sir(sir_db).p_max
+        batch.ne(p_max)
+        batch.nj(p_max)
+    assert sorted(calls) == [0.0, reference_params().gamma_max]
+
+
 def test_solve_nj_reads_the_threshold_at_its_final_tau_once(monkeypatch):
     # one call for K/2 and one per pass of the ulp-nudge loop; the final p
     # reuses the loop's last threshold
