@@ -2,11 +2,14 @@
 machine-readable CSV the sweeps emit.
 
 Reproducibility: channel draw `index` under `seed` is a pure function of
-(seed, index) backed by a counter-based generator, so sweeps are byte-stable
-across runs and indifferent to evaluation order or chunking. Sweeps stream
-draws in fixed-size chunks (memory flat in the draw count); each chunk's
-values become a few floats with the same exact sum (ExtractVector: Rump, Ogita
-and Oishi, SIAM J. Sci. Comput. 31(1), 2008), so averages are exact fsums.
+(seed, index), index in [0, 2**256), backed by a counter-based generator
+(Philox4x64-10), so sweeps are byte-stable across runs and indifferent to
+evaluation order or chunking. One draw (sample_channels) is computed in
+Python ints and floats, bit-identical to the sweep's row; only sweeps import
+numpy.random, to draw whole chunks. Sweeps stream draws in fixed-size chunks
+(memory flat in the draw count); each chunk's values become a few floats with
+the same exact sum (ExtractVector: Rump, Ogita and Oishi, SIAM J. Sci.
+Comput. 31(1), 2008), so averages are exact fsums.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from numpy.random import Philox
 
 from .model import (
     ChannelGains,
@@ -90,6 +92,26 @@ def _rational(coefficients, r):
     return acc.real, acc.imag
 
 
+def _ndtri_one(u: float) -> float:
+    """_ndtri of one Python float, bit for bit, in float arithmetic: -inf at 0
+    and inf at 1, without a warning. The tail takes its log through np.log on
+    an np.float64, whose last bit can differ from math.log's but matches the
+    array path's."""
+    q = u - 0.5
+    if abs(q) <= 0.425:
+        num, den = _rational(_AS241_CENTRAL, 0.180625 - q * q)
+        return q * num / den
+    low = min(u, 1.0 - u)
+    if low == 0.0:
+        return math.copysign(math.inf, q)
+    r = math.sqrt(-float(np.log(np.float64(low))))
+    if r > 5.0:
+        num, den = _rational(_AS241_FAR, r - 5.0)
+    else:
+        num, den = _rational(_AS241_TAIL, r - 1.6)
+    return math.copysign(num / den, q)
+
+
 def _ndtri(u):
     """Standard-normal quantile of an array u in [0, 1], elementwise, by AS241
     (relative error about 1e-16): -inf at 0 and inf at 1. The central
@@ -116,12 +138,35 @@ def _ndtri(u):
     return x
 
 
+_MASK64 = 2**64 - 1
+
+
+def _philox_block(key: int, counter: int) -> tuple[int, int, int, int]:
+    """The four 64-bit words of Philox4x64-10 (Salmon, Moraes, Dror and Shaw,
+    SC11, 2011) at a 128-bit key and a 256-bit counter, low words first, in
+    Python ints: numpy's Philox(key=key, counter=counter - 1).random_raw(4)."""
+    k0, k1 = key & _MASK64, key >> 64
+    c0, c1, c2, c3 = (counter >> shift & _MASK64 for shift in (0, 64, 128, 192))
+    for _ in range(10):
+        p0 = 0xD2E7470EE14C6C93 * c0
+        p1 = 0xCA5A826395121157 * c2
+        c0, c1, c2, c3 = ((p1 >> 64) ^ c1 ^ k0, p1 & _MASK64,
+                          (p0 >> 64) ^ c3 ^ k1, p0 & _MASK64)
+        k0 = (k0 + 0x9E3779B97F4A7C15) & _MASK64
+        k1 = (k1 + 0xBB67AE8584CAA73B) & _MASK64
+    return c0, c1, c2, c3
+
+
 def _gain_block(seed: int, start: int, count: int) -> np.ndarray:
     """(count, 3) squared standard-normal gains for draws start..start+count-1.
 
     One 4-word counter block per draw (3 words used), so the i-th row only
-    depends on (seed, start + i).
+    depends on (seed, start + i): draw i is Philox4x64-10 at counter
+    (i + 1) mod 2**256, the top 53 bits of each word k giving the uniform
+    (k + 0.5) * 2**-53. numpy.random is imported here, not with the module.
     """
+    from numpy.random import Philox
+
     bit_gen = Philox(key=seed)
     if start:
         bit_gen.advance(start)
@@ -137,13 +182,16 @@ def _gain_block(seed: int, start: int, count: int) -> np.ndarray:
 
 def sample_channels(seed: int, index: int) -> ChannelGains:
     """Channel gains for one fading cycle: squares of three independent
-    standard-normal coefficients, deterministic in (seed, index)."""
+    standard-normal coefficients, deterministic in (seed, index), index in
+    [0, 2**256). Computed in Python ints and floats, bit for bit the row of
+    _gain_block(seed, index, 1), without importing numpy.random."""
     if not 0 <= seed < 2**128:
         raise ValueError("seed must lie in [0, 2**128)")
-    if index < 0:
-        raise ValueError("index must be >= 0")
-    h2, ga2, gb2 = _gain_block(seed, index, 1)[0]
-    return ChannelGains(float(h2), float(ga2), float(gb2))
+    if not 0 <= index < 2**256:
+        raise ValueError("index must lie in [0, 2**256)")
+    words = _philox_block(seed, (index + 1) % 2**256)
+    x = [_ndtri_one((float(k >> 11) + 0.5) * 2.0**-53) for k in words[:3]]
+    return ChannelGains(x[0] * x[0], x[1] * x[1], x[2] * x[2])
 
 
 def _relative_gain(c_ref, c_other, other_name: str):

@@ -50,6 +50,13 @@ class NeutralizationInfeasible(ValueError):
 
 def db_to_linear(x_db):
     """Convert dB (or dBm) to a linear ratio (or mW): ``10**(x/10)``."""
+    if type(x_db) is float:  # np.float64 subclasses float: it takes numpy's path
+        if not math.isfinite(x_db):
+            raise ValueError("decibel value must be finite")
+        try:
+            return 10.0 ** (x_db / 10.0)
+        except OverflowError:
+            raise ValueError("decibel value out of range") from None
     if not np.all(np.isfinite(x_db)):
         raise ValueError("decibel value must be finite")
     try:
@@ -82,8 +89,13 @@ class ChannelGains:
 
     def __post_init__(self):
         for name in ("h2", "ga2", "gb2"):
-            v = np.asarray(getattr(self, name))
-            if not ((v >= 0.0) & (v < math.inf)).all():
+            v = getattr(self, name)
+            if type(v) is float:  # not np.float64, a float subclass
+                ok = 0.0 <= v < math.inf
+            else:
+                v = np.asarray(v)
+                ok = ((v >= 0.0) & (v < math.inf)).all()
+            if not ok:
                 raise ValueError(f"{name} must be finite and >= 0")
 
 

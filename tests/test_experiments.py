@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ehjam import (
@@ -23,7 +23,7 @@ from ehjam import (
     write_csv,
 )
 from ehjam import experiments, solvers
-from ehjam.experiments import _CSV_COLUMNS, _exact_parts, _gain_block
+from ehjam.experiments import _CSV_COLUMNS, _exact_parts, _gain_block, _philox_block
 from helpers import params_at_sir, reference_params
 
 
@@ -58,14 +58,52 @@ def test_sample_channels_validates_inputs():
     assert all(math.isfinite(x) and x >= 0.0 for x in (g.h2, g.ga2, g.gb2))
 
 
-def test_gain_block_matches_per_index_draws():
-    block = _gain_block(11, 0, 64)
-    for i in range(64):
-        g = sample_channels(11, i)
-        assert (g.h2, g.ga2, g.gb2) == tuple(block[i])
-    # offset blocks address the same stream
-    tail = _gain_block(11, 60, 4)
-    assert np.array_equal(tail, block[60:64])
+def test_sample_channels_rejects_an_index_beyond_the_counter():
+    # the 256-bit counter would wrap: index 2**256 would alias index 0
+    for index in (2**256, 2**256 + 1, 2**300):
+        with pytest.raises(ValueError, match=r"index must lie in \[0, 2\*\*256\)"):
+            sample_channels(0, index)
+    with pytest.raises(ValueError, match=r"index must lie in \[0, 2\*\*256\)"):
+        sample_channels(0, -1)
+    g = sample_channels(0, 2**256 - 1)
+    assert all(math.isfinite(x) and x >= 0.0 for x in (g.h2, g.ga2, g.gb2))
+
+
+# deterministic examples, no example database: the suite reruns identically
+_DRAW_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+_SEEDS = st.integers(0, 2**128 - 1)
+# small indices, indices around 2**64 (a carry into the counter's second
+# word) and the whole counter range up to 2**256 - 1 (counter wraps to 0)
+_INDICES = st.one_of(st.integers(0, 2**20), st.integers(2**64 - 2**10, 2**64 + 2**10),
+                     st.integers(0, 2**256 - 1))
+
+
+@_DRAW_SETTINGS
+@given(seed=_SEEDS, start=_INDICES, count=st.integers(1, 8))
+@example(seed=11, start=0, count=64)
+@example(seed=11, start=60, count=4)
+@example(seed=2**128 - 1, start=2**64 - 1, count=4)
+@example(seed=0, start=2**256 - 1, count=1)
+def test_gain_block_matches_per_index_draws(seed, start, count):
+    # the one-draw Python path gives the sweep's rows, bit for bit
+    start = min(start, 2**256 - count)
+    block = _gain_block(seed, start, count)
+    for i in range(count):
+        g = sample_channels(seed, start + i)
+        assert struct.pack("<3d", g.h2, g.ga2, g.gb2) == block[i].tobytes()
+        assert all(type(x) is float for x in (g.h2, g.ga2, g.gb2))
+
+
+@_DRAW_SETTINGS
+@given(key=_SEEDS, counter=_INDICES)
+@example(key=2**128 - 1, counter=2**64 + 3)
+@example(key=0, counter=2**256 - 1)
+def test_philox_block_matches_numpy_philox(key, counter):
+    # numpy's Philox steps its counter before each block
+    from numpy.random import Philox
+
+    words = Philox(key=key, counter=counter).random_raw(4)
+    assert _philox_block(key, (counter + 1) % 2**256) == tuple(map(int, words))
 
 
 def test_gain_moments_match_squared_standard_normal():

@@ -1,7 +1,8 @@
 """The package's own special functions (Lambert W0 and Wright omega in
 solvers, the normal quantile in experiments) against scipy.special, which
-only the tests import, and against 50-digit points; and the package running
-where scipy cannot be imported at all."""
+only the tests import, and against 50-digit points; the one-value quantile
+against the array one, bit for bit; and the package running where scipy
+cannot be imported at all, and without numpy.random outside sweeps."""
 
 import math
 import os
@@ -15,7 +16,8 @@ import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ehjam.experiments import _ndtri
+from ehjam.experiments import _ndtri, _ndtri_one
+from ehjam.model import ChannelGains
 from ehjam.solvers import _lambert_w0, _wright_omega
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,8 +34,15 @@ def _ulps(got, ref):
 
 # the uniforms _gain_block feeds it: (k + 0.5) * 2^-53 for 53-bit k; the top k
 # rounds to u = 1.0 (2^53 - 0.5 is not a double)
+_KS = st.lists(st.integers(0, 2**53 - 1), min_size=1, max_size=64)
+
+
+def _uniforms(ks):
+    return [(k + 0.5) * 2.0**-53 for k in ks]
+
+
 @_SETTINGS
-@given(st.lists(st.integers(0, 2**53 - 1), min_size=1, max_size=64))
+@given(_KS)
 @example([0, 2**53 - 1, 2**52, 2**52 - 1])
 def test_ndtri_within_a_few_ulps_of_scipy(ks):
     u = (np.array(ks, dtype=np.float64) + 0.5) * 2.0**-53
@@ -41,6 +50,35 @@ def test_ndtri_within_a_few_ulps_of_scipy(ks):
     finite = np.isfinite(ref)
     assert np.array_equal(got[~finite], ref[~finite])  # +inf at u = 1
     assert np.all(_ulps(got[finite], ref[finite]) <= 8.0)
+
+
+def _draws(x):
+    """ChannelGains of each whole triple of quantiles, or the error it raises."""
+    out = []
+    for i in range(0, len(x) - 2, 3):
+        try:
+            out.append(ChannelGains(*(v * v for v in x[i:i + 3])))
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+@_SETTINGS
+@given(_KS.map(_uniforms))
+@example([5.551115123125783e-17, 1e-11, 1.4e-11, 0.9999999999999999])  # r > 5 and near it
+@example([2.0**-54, 2.0**-54, 2.0**-54])  # k = 0
+@example(_uniforms([2**53 - 1, 2**52, 0]))  # u = 1.0: +inf, and a gain ChannelGains rejects
+@example([0.075, 0.925, 0.0750000000000001, 0.9249999999999999, 0.5])  # lane boundaries
+@example([0.0, 1.0, 0.02425, 0.3225971716937021, 0.5000000000000001])
+# tail uniforms where math.log's last bit differs from np.log's on an AVX-512 host
+@example(_uniforms([8485892354229149, 8982223276573222, 336091789631964, 572100113987236]))
+def test_ndtri_one_matches_ndtri_bit_for_bit(us):
+    got = [_ndtri_one(u) for u in us]
+    ref = _ndtri(np.array(us))
+    assert all(type(x) is float for x in got)
+    assert np.array(got).tobytes() == ref.tobytes()
+    # a draw's three gains, from either path: equal gains or the same error
+    assert _draws(got) == _draws(ref.tolist())
 
 
 def test_ndtri_edges_and_shape():
@@ -154,3 +192,24 @@ print("scipy modules", sorted(m for m in sys.modules if m.startswith("scipy")))
     assert "codes [0, 0, 0]" in proc.stdout
     assert "scipy modules ['scipy']" in proc.stdout  # only the blocking None
     assert (tmp_path / "s.csv").read_text().count("\n") > 41
+
+
+# --- no numpy.random outside sweeps -------------------------------------------
+
+def test_cli_and_one_draw_leave_numpy_random_unimported():
+    script = """
+import sys
+from ehjam.cli import run
+from ehjam.experiments import sample_channels
+gains = sample_channels(2**128 - 1, 2**64 + 3)
+point = ["--h2", "1", "--ga2", "1", "--gb2", "0.2"]
+codes = [run(["ne", *point]), run(["nj", *point]), run(["verify", "--sets", "5"])]
+print("codes", codes)
+print("loaded", sorted(m for m in sys.modules if m.startswith("numpy.random")))
+"""
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "codes [0, 0, 0]" in proc.stdout
+    assert "loaded []" in proc.stdout

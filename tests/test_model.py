@@ -57,6 +57,35 @@ def test_db_to_linear_rejects_overflow():
         db_to_linear(np.array([0.0, 4000.0]))
 
 
+@pytest.mark.parametrize("x_db, kind", [
+    (-7.0, float), (-0.0, float), (-4000.0, float), (3, float),
+    (np.float64(-7.0), np.float64), (np.float64(-0.0), np.float64),
+    (np.array([-7.0, -0.0, 3.0]), np.ndarray),
+])
+def test_db_to_linear_keeps_the_input_kind(x_db, kind):
+    # floats take a math-only path; np.float64, a float subclass, stays numpy's
+    out = db_to_linear(x_db)
+    assert type(out) is kind
+    assert np.allclose(out, 10.0 ** (np.asarray(x_db, dtype=float) / 10.0), rtol=1e-15)
+
+
+@pytest.mark.parametrize("wrap", [float, np.float64, lambda v: np.array([0.0, v])])
+@pytest.mark.parametrize("x_db, message", [
+    (math.nan, "decibel value must be finite"),
+    (math.inf, "decibel value must be finite"),
+    (-math.inf, "decibel value must be finite"),
+    (3100.0, "decibel value out of range"),
+])
+def test_db_to_linear_errors_alike_for_every_input_kind(wrap, x_db, message):
+    with pytest.raises(ValueError, match=message):
+        db_to_linear(wrap(x_db))
+
+
+def test_db_to_linear_overflow_from_an_int():
+    with pytest.raises(ValueError, match="decibel value out of range"):
+        db_to_linear(3100)
+
+
 def test_linear_to_db_rejects_nonpositive():
     with pytest.raises(ValueError):
         linear_to_db(0.0)
@@ -83,6 +112,27 @@ def test_channel_gains_reject_every_field_not_finite_and_nonnegative(bad):
             with pytest.raises(ValueError, match="must be finite and >= 0"):
                 ChannelGains(*values)
     ChannelGains(-0.0, np.array([0.0, -0.0, 5e-324]), 1.7976931348623157e308)
+
+
+@pytest.mark.parametrize("value", [
+    0.5, -0.0, 5e-324, 1.7976931348623157e308, 2, 0,
+    np.float64(0.5), np.float64(-0.0), np.array([0.1, -0.0]),
+])
+def test_channel_gains_keep_each_field_as_given(value):
+    g = ChannelGains(value, value, value)
+    assert g.h2 is value and g.ga2 is value and g.gb2 is value
+
+
+@pytest.mark.parametrize("bad", [
+    np.float64(math.nan), np.float64(math.inf), np.float64(-math.inf),
+    np.float64(-1.0), -1, np.array(-0.5),
+])
+def test_channel_gains_reject_numpy_scalars_and_ints_alike(bad):
+    for field in range(3):
+        values = [1.0, 1.0, 1.0]
+        values[field] = bad
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            ChannelGains(*values)
 
 
 def test_snr_factors_divide_the_transmit_term_by_snr_scale():
