@@ -198,9 +198,7 @@ def _cmd_point(args, params) -> int:
 def _cmd_sweep(args, params) -> int:
     gains_given = [g for g in (args.h2, args.ga2, args.gb2) if g is not None]
     if gains_given and len(gains_given) != 3:
-        print("ehjam sweep: error: give all of --h2/--ga2/--gb2 or none",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError("give all of --h2/--ga2/--gb2 or none")
     config = SweepConfig(
         sir_start_db=args.sir_start_db,
         sir_stop_db=args.sir_stop_db,
@@ -218,10 +216,11 @@ def _cmd_sweep(args, params) -> int:
 
 def _cmd_verify(args, params0) -> int:
     if args.sets < 1:
-        print("ehjam verify: error: --sets must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError("--sets must be >= 1")
     if not math.isfinite(args.tol):  # also when every set skips the saddle check
         raise ValueError("--tol must be finite")
+    if min(args.legit_grid, args.jammer_grid) < 2:  # for the same reason
+        raise ValueError("--legit-grid and --jammer-grid must be >= 2")
     grid = (args.legit_grid, args.legit_grid, args.jammer_grid)
     checked = skipped = failures = 0
     worst_saddle = -math.inf

@@ -15,6 +15,7 @@ Comput. 31(1), 2008), so averages are exact fsums.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -167,10 +168,7 @@ def _gain_block(seed: int, start: int, count: int) -> np.ndarray:
     """
     from numpy.random import Philox
 
-    bit_gen = Philox(key=seed)
-    if start:
-        bit_gen.advance(start)
-    raw = bit_gen.random_raw((count, 4))  # what Generator.integers(0, 2**64) gives
+    raw = Philox(key=seed, counter=start).random_raw((count, 4))  # integers(0, 2**64)
     u = (raw[:, :3] >> np.uint64(11)).astype(np.float64)
     del raw
     u += 0.5
@@ -182,9 +180,10 @@ def _gain_block(seed: int, start: int, count: int) -> np.ndarray:
 
 def sample_channels(seed: int, index: int) -> ChannelGains:
     """Channel gains for one fading cycle: squares of three independent
-    standard-normal coefficients, deterministic in (seed, index), index in
-    [0, 2**256). Computed in Python ints and floats, bit for bit the row of
-    _gain_block(seed, index, 1), without importing numpy.random."""
+    standard-normal coefficients, deterministic in (seed, index), integers of
+    any type, index in [0, 2**256). Computed in Python ints and floats, bit for
+    bit the row of _gain_block(seed, index, 1), without importing numpy.random."""
+    seed, index = operator.index(seed), operator.index(index)
     if not 0 <= seed < 2**128:
         raise ValueError("seed must lie in [0, 2**128)")
     if not 0 <= index < 2**256:
@@ -229,7 +228,8 @@ class SweepConfig:
     The jamming budget gamma_max is held fixed; the transmit budget at each
     point is transmit_budget(gamma_max, sir_db), passed to ChannelBatch as a
     float, so params.p_max is ignored. The grid size (see sir_points) and
-    every point's budget are checked here, before any work. fixed_gains
+    every point's budget (by that same call) are checked here, before any
+    work; mc_draws and rng_seed are taken through operator.index. fixed_gains
     replaces the mc_draws random channels by that one channel: the Monte
     Carlo sweep with a single draw.
     """
@@ -249,16 +249,14 @@ class SweepConfig:
             raise ValueError("sir_step_db must be positive")
         if self.sir_stop_db < self.sir_start_db:
             raise ValueError("sir_stop_db must be >= sir_start_db")
+        for name in ("mc_draws", "rng_seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.mc_draws < 1:
             raise ValueError("mc_draws must be >= 1")
         if not 0 <= self.rng_seed < 2**128:
             raise ValueError("rng_seed must lie in [0, 2**128)")
-        sirs = np.array(sir_points(self))
-        gamma_max = self.params.gamma_max
-        with np.errstate(over="ignore"):
-            budgets = gamma_max * db_to_linear(sirs)
-        for sir_db in sirs[~((budgets > 0.0) & (budgets < math.inf))]:
-            transmit_budget(gamma_max, float(sir_db))  # raises, naming the point
+        for sir_db in sir_points(self):
+            transmit_budget(self.params.gamma_max, sir_db)
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,9 @@ class NeutralizationInfeasible(ValueError):
 
 
 def db_to_linear(x_db):
-    """Convert dB (or dBm) to a linear ratio (or mW): ``10**(x/10)``."""
+    """Convert dB (or dBm) to a linear ratio (or mW): ``10**(x/10)``. An array
+    result may differ from the float result in the last bit (numpy's pow is
+    vectorized): code that compares results must use one form."""
     if type(x_db) is float:  # np.float64 subclasses float: it takes numpy's path
         if not math.isfinite(x_db):
             raise ValueError("decibel value must be finite")

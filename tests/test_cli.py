@@ -293,6 +293,28 @@ def test_verify_rejects_zero_sets(capsys):
     assert "--sets must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--h2", "1", "--out", "s.csv"], "give all of --h2/--ga2/--gb2 or none"),
+    (["verify", "--sets", "0"], "--sets must be >= 1"),
+], ids=["sweep", "verify"])
+def test_subcommand_config_errors_share_the_error_prefix(tmp_path, monkeypatch, capsys,
+                                                         argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"ehjam: error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", ["--legit-grid", "--jammer-grid"])
+@pytest.mark.parametrize("seed", ["0", "1"])  # seed 1: its one set skips the saddle check
+def test_verify_rejects_a_grid_below_2_before_solving(capsys, flag, seed):
+    assert run(["verify", flag, "1", "--sets", "1", "--seed", seed]) == 1
+    out, err = capsys.readouterr()
+    assert "result=" not in out
+    assert "--legit-grid and --jammer-grid must be >= 2" in err
+
+
 def test_verify_rejects_zero_jamming_budget(capsys):
     assert run(["verify", "--gamma-mw", "0", "--sets", "2"]) == 1
     assert "= 0 mW at SIR -30 dB" in capsys.readouterr().err

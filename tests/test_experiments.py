@@ -1,5 +1,7 @@
 import math
+import re
 import struct
+import sys
 import tracemalloc
 import warnings
 
@@ -12,7 +14,9 @@ from ehjam import (
     ChannelBatch,
     ChannelGains,
     SweepConfig,
+    SystemParams,
     capacity,
+    db_to_linear,
     metric_f,
     metric_fnj,
     sample_channels,
@@ -20,6 +24,7 @@ from ehjam import (
     sir_sweep,
     solve_ne,
     solve_nj,
+    transmit_budget,
     write_csv,
 )
 from ehjam import experiments, solvers
@@ -67,6 +72,19 @@ def test_sample_channels_rejects_an_index_beyond_the_counter():
         sample_channels(0, -1)
     g = sample_channels(0, 2**256 - 1)
     assert all(math.isfinite(x) and x >= 0.0 for x in (g.h2, g.ga2, g.gb2))
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.uint64, np.int32])
+def test_sample_channels_takes_any_integer_type(integer):
+    assert sample_channels(integer(3), 5) == sample_channels(3, 5)
+    assert sample_channels(3, integer(5)) == sample_channels(3, 5)
+    assert sample_channels(integer(3), integer(5)) == sample_channels(3, 5)
+
+
+@pytest.mark.parametrize("seed, index", [(3.0, 5), (3, 5.0), (1.9, 0), (0, np.float64(2.0))])
+def test_sample_channels_rejects_non_integral_inputs(seed, index):
+    with pytest.raises(TypeError):
+        sample_channels(seed, index)
 
 
 # deterministic examples, no example database: the suite reruns identically
@@ -189,6 +207,62 @@ def test_sweep_config_rejects_a_budget_leaving_the_float_range_at_one_point():
     SweepConfig(-20.0, 10.0, 10.0, params)
     with pytest.raises(ValueError, match=r"= 0 mW at SIR -30 dB"):
         SweepConfig(-30.0, 10.0, 10.0, params)
+
+
+def test_sweep_config_checks_each_budget_as_the_sweep_forms_it():
+    # numpy's array pow gives P = 1.7976931348623155e308 here, libm's gives inf
+    params = SystemParams(0.1, 0.2, 1.0, 5.6848048402131625e+305, 0.8)
+    with pytest.raises(ValueError, match=r"= inf mW at SIR 25 dB; P must be positive"):
+        SweepConfig(25.0, 25.0, 1.0, params)
+
+
+def _ulp_neighbourhood(x, ulps=4):
+    """x and the ulps floats on either side of it."""
+    out, below, above = [x], x, x
+    for _ in range(ulps):
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        out += [below, above]
+    return out
+
+
+@pytest.mark.parametrize("sir_db", [-30.0 + i for i in range(41)] + [25.0])
+def test_sweep_config_raises_iff_transmit_budget_raises(sir_db):
+    # jamming budgets within 4 ulps of where P = gamma_max*10^(SIR/10)
+    # overflows to inf and of where it underflows to 0
+    scale = db_to_linear(sir_db)
+    edges = (sys.float_info.max / scale, math.ulp(0.0) / (2.0 * scale))
+    outcomes = set()
+    for gamma in {g for edge in edges for g in _ulp_neighbourhood(edge)
+                  if 0.0 < g < math.inf}:
+        params = reference_params(gamma_max=gamma)
+        try:
+            transmit_budget(gamma, sir_db)
+        except ValueError as exc:
+            outcomes.add("raises")
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                SweepConfig(sir_db, sir_db, 1.0, params)
+        else:
+            outcomes.add("accepts")
+            SweepConfig(sir_db, sir_db, 1.0, params)
+    # for 10^(SIR/10) in (1/2, 1], no finite positive budget leaves the range
+    assert outcomes == ({"accepts"} if -3.0 <= sir_db <= 0.0 else {"accepts", "raises"})
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.uint64])
+def test_sweep_config_takes_any_integer_type(integer):
+    params = reference_params()
+    plain = SweepConfig(-10.0, 0.0, 5.0, params, mc_draws=300, rng_seed=9)
+    numpy = SweepConfig(-10.0, 0.0, 5.0, params, mc_draws=integer(300), rng_seed=integer(9))
+    assert type(numpy.mc_draws) is int and type(numpy.rng_seed) is int
+    assert numpy == plain
+    assert sir_sweep(numpy) == sir_sweep(plain)
+
+
+@pytest.mark.parametrize("field, value", [("rng_seed", 1.9), ("rng_seed", 1.0),
+                                          ("mc_draws", 2.5), ("mc_draws", np.float64(10.0))])
+def test_sweep_config_rejects_non_integral_counts(field, value):
+    with pytest.raises(TypeError):
+        SweepConfig(-10.0, 0.0, 5.0, reference_params(), **{field: value})
 
 
 def test_sir_points_inclusive_grid():
