@@ -245,8 +245,8 @@ class SweepConfig:
     def __post_init__(self):
         if not (math.isfinite(self.sir_start_db) and math.isfinite(self.sir_stop_db)):
             raise ValueError("SIR range must be finite")
-        if not self.sir_step_db > 0.0:
-            raise ValueError("sir_step_db must be positive")
+        if not 0.0 < self.sir_step_db < math.inf:
+            raise ValueError("sir_step_db must be positive and finite")
         if self.sir_stop_db < self.sir_start_db:
             raise ValueError("sir_stop_db must be >= sir_start_db")
         for name in ("mc_draws", "rng_seed"):

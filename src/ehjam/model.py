@@ -210,28 +210,29 @@ def capacity(p, tau, gamma, gains: ChannelGains, params: SystemParams):
 
 
 def neutralization_feasible(gains: ChannelGains, params: SystemParams):
-    """True when the harvesting link is strictly better than the jamming link,
-    i.e. ga2/n_a > gb2/n_b. Equivalent to a positive slope K of p_threshold
-    whenever zeta > 0. Elementwise over gain arrays."""
+    """True where ga2*n_b > gb2*n_a: the harvesting link beats the jamming
+    link, elementwise. Exactly, that is K > 0 when zeta > 0; rounded, a
+    feasible link may read K = 0 and an infeasible one K > 0, so ChannelBatch
+    decides feasibility by this test, not by K's sign."""
     return gains.ga2 * params.n_b > gains.gb2 * params.n_a
 
 
 def p_threshold(tau, gains: ChannelGains, params: SystemParams):
     """Largest transmit power at which more jamming still helps the link,
-    elementwise over tau and gain arrays.
+    elementwise over tau in [0, 1] and gain arrays.
 
-    Linear in the EH fraction: ``tau * K`` with the slope (mW per unit tau)
-    ``K = (ga2*n_b/gb2 - n_a) * zeta``, 0 when zeta == 0, and the one place K
-    and that product are formed. Where ga2*n_b/gb2 = X overflows but zeta > 0,
-    K is formed from logarithms as zeta*X*(1 - n_a/X), so a tiny zeta can
-    bring it back into range. Unbounded rule: +inf at every tau where gb2 == 0
-    (the jammer cannot reach the receiver, so every power neutralizes, zeta ==
-    0 included), +inf for tau > 0 where even that K overflows, and 0 at
-    tau == 0 otherwise.
+    The line ``tau * K`` in the EH fraction, so p_threshold(1) is the slope
+    (mW per unit tau) ``K = (ga2*n_b/gb2 - n_a) * zeta``, 0 when zeta == 0;
+    this is the one place K and that product are formed. Where ga2*n_b/gb2 =
+    X overflows but zeta > 0, K is formed from logarithms as zeta*X*(1 -
+    n_a/X), so a tiny zeta can bring it back into range. Unbounded rule: +inf
+    at every tau where gb2 == 0 (the jammer cannot reach the receiver, so
+    every power neutralizes, zeta == 0 included), +inf for tau > 0 where even
+    that K overflows, and 0 at tau == 0 otherwise.
     """
     t = np.asarray(tau, dtype=float)
-    if np.any(t < 0.0) or np.any(t >= 1.0):
-        raise ValueError("tau must lie in [0, 1)")
+    if np.any(t < 0.0) or np.any(t > 1.0):
+        raise ValueError("tau must lie in [0, 1]")
     gb2 = np.asarray(gains.gb2, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         k = (gains.ga2 * params.n_b / gb2 - params.n_a) * params.zeta
@@ -256,6 +257,8 @@ def jamming_sign(p, tau, gains: ChannelGains, params: SystemParams):
     p_threshold - p when gb2 > 0 and of tau*zeta*ga2 when gb2 == 0. Links
     that cannot be neutralized read -1 throughout, flat cases included.
     """
+    if np.any((t := np.asarray(tau)) < 0.0) or np.any(t >= 1.0):
+        raise ValueError("tau must lie in [0, 1)")
     slope = np.where(np.asarray(gains.gb2) == 0.0,
                      tau * params.zeta * gains.ga2,
                      p_threshold(tau, gains, params) - p)

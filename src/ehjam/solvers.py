@@ -314,8 +314,8 @@ class ChannelBatch:
 
     @cached_property
     def _threshold(self):
-        """K/2 = p_threshold(0.5) and the threshold optimum t_hat."""
-        return (p_threshold(0.5, self.gains, self.params),
+        """K = p_threshold(1) and the threshold optimum t_hat."""
+        return (p_threshold(1.0, self.gains, self.params),
                 _profile_tau(OnThreshold(), self.gains, self.params)())
 
     def ne(self, p_max: float) -> NEArrays:
@@ -334,15 +334,15 @@ class ChannelBatch:
         with its kink at P/K (0 where the threshold is unbounded). Its maximizer
         is the threshold optimum t_hat where t_hat < P/K (case a when P/K > 1,
         which makes it independent of P; else case b, candidate 1); otherwise
-        full power at the silent-jammer optimum t_tilde raised to at least P/K,
-        nudged by ulps until the threshold reaches P (candidate 2, or 1 at the
-        kink itself)."""
+        full power at the silent-jammer optimum t_tilde raised to at least P/K
+        (candidate 2, or 1 at the kink itself). The kink is P/K rounded to
+        nearest, so where tau*K still rounds below P, one ulp up is past P/K:
+        the loop nudges at most once."""
         gains, params, feasible = self.gains, self.params, self.feasible
-        k_half, t_hat = self._threshold
-        # P/K, the kink: the threshold is linear in tau, K = p_threshold(0.5)/0.5
-        with np.errstate(divide="ignore", over="ignore"):  # an inf kink is exact
-            p_inv = np.divide(0.5 * p_max, k_half)
         t_tilde = self._fixed_power_tau(p_max, 0.0)
+        k, t_hat = self._threshold
+        with np.errstate(divide="ignore", over="ignore"):  # an inf kink is exact
+            p_inv = np.divide(p_max, k)
 
         on_threshold = t_hat < p_inv
         tau = np.select([~feasible, on_threshold], [0.0, t_hat],

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from ehjam import (
@@ -12,6 +14,7 @@ from ehjam import (
     sample_channels,
     solve_ne,
 )
+from ehjam import solvers
 
 # reference operating point used throughout: noise at -10/-7 dBm, jamming
 # budget 10 dBm, harvesting efficiency 0.8
@@ -92,3 +95,24 @@ def infeasible_instances(seed: int, count: int, zeta: float = ZETA):
         if not neutralization_feasible(gains, params):
             out.append((gains, params))
     return out
+
+
+@contextmanager
+def bounded_p_threshold(limit: int = 3):
+    """Patch solvers.p_threshold inside the block to raise past limit calls,
+    so that a neutralizing solve which keeps nudging tau fails fast instead of
+    hanging; ChannelBatch.nj reads K once, then the threshold once per pass of
+    its ulp-nudge loop."""
+    calls, real = [], solvers.p_threshold
+
+    def counted(*args):
+        calls.append(args)
+        if len(calls) > limit:
+            raise AssertionError(f"more than {limit} p_threshold calls")
+        return real(*args)
+
+    solvers.p_threshold = counted
+    try:
+        yield
+    finally:
+        solvers.p_threshold = real

@@ -1,4 +1,5 @@
 import io
+import math
 import os
 import shlex
 import subprocess
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from ehjam import ChannelGains, solve_ne, solve_nj
 from ehjam.cli import run
-from helpers import params_at_sir
+from helpers import bounded_p_threshold, params_at_sir
 
 
 def _parse_kv(out: str) -> dict:
@@ -107,6 +108,31 @@ def test_huge_gains_finite_without_warnings(capsys, argv, regime, capacity_bpcu)
     vals = _parse_kv(capsys.readouterr().out)
     assert vals["regime"] == regime
     assert vals["capacity_bpcu"] == capacity_bpcu
+
+
+@pytest.mark.parametrize("h2, ga2", [
+    (1.7328516292563033e295, 11.354209650122488),  # once nudged tau forever
+    (9.688935366430316e299, 5.050715603424172),  # once read the kink as 0/0
+])
+def test_nj_at_subnormal_budgets_finishes_finite(capsys, h2, ga2):
+    # K and P round to a few ulps of 5e-324: reading K, one pass and one ulp
+    # nudge must settle the kink
+    argv = ["nj", "--zeta", "5e-324", "--p-mw", "5e-324", "--h2", repr(h2),
+            "--ga2", repr(ga2), "--gb2", "1"]
+    with warnings.catch_warnings(), bounded_p_threshold(3):
+        warnings.simplefilter("error")
+        assert run(argv) == 0
+    capacity_bpcu = float(_parse_kv(capsys.readouterr().out)["capacity_bpcu"])
+    assert 0.0 < capacity_bpcu < math.inf
+
+
+def test_sweep_at_subnormal_zeta_and_jamming_budget_finishes(tmp_path, capsys):
+    # one chunk at 41 SIR points: K once, then a pass and a nudge per point;
+    # the dominance check may still reject these deep-subnormal sums
+    argv = ["sweep", "--zeta", "1e-320", "--gamma-mw", "1e-318", "--draws", "200",
+            "--out", str(tmp_path / "s.csv")]
+    with bounded_p_threshold(1 + 2 * 41):
+        assert run(argv) in (0, 1)
 
 
 def test_nj_infeasible_exits_2(capsys):
@@ -345,6 +371,12 @@ def test_module_entry_point_exit_codes():
 def test_sweep_rejects_infinite_sir(tmp_path, capsys):
     assert run(["sweep", "--sir-start-db", "inf", "--out", str(tmp_path / "s.csv")]) == 1
     assert "SIR range must be finite" in capsys.readouterr().err
+
+
+def test_sweep_rejects_an_infinite_step(tmp_path, capsys):
+    assert run(["sweep", "--sir-step-db", "inf", "--out", str(tmp_path / "s.csv")]) == 1
+    assert "sir_step_db must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_sweep_rejects_a_grid_beyond_the_point_bound(tmp_path, capsys):

@@ -184,6 +184,14 @@ def test_sweep_config_validation():
             SweepConfig(**bad)
 
 
+def test_sweep_config_rejects_a_non_finite_step():
+    # -30 + 0*inf would make the one grid point nan
+    params = reference_params()
+    for step in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="sir_step_db must be positive and finite"):
+            SweepConfig(-30.0, -30.0, step, params)
+
+
 def test_sweep_config_bounds_the_sir_grid_before_building_it():
     params = reference_params()
     # 4e301 points: rejected from the step alone, before any list is built

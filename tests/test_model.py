@@ -298,8 +298,31 @@ def test_p_threshold_examples():
     params = reference_params()
     assert p_threshold(0.0, gains, params) == 0.0
     assert p_threshold(0.5, gains, params) == 0.35905246299377597
-    with pytest.raises(ValueError):
-        p_threshold(1.0, gains, params)
+    assert p_threshold(1.0, gains, params) == 2 * 0.35905246299377597  # K itself
+    for tau in (np.nextafter(1.0, 2.0), -1e-300):
+        with pytest.raises(ValueError):
+            p_threshold(tau, gains, params)
+
+
+def test_p_threshold_at_one_is_the_slope():
+    # tau * K on [0, 1]: K = p_threshold(1) is twice the threshold at 1/2, for
+    # a normal K, under the unbounded rule (gb2 == 0) and at zeta == 0
+    params, zeta0 = reference_params(), reference_params(zeta=0.0)
+    normal, unreachable = ChannelGains(1.0, 1.0, 0.2), ChannelGains(1.0, 1.0, 0.0)
+    for gains, p in ((normal, params), (unreachable, params), (normal, zeta0)):
+        assert p_threshold(1.0, gains, p) == 2 * p_threshold(0.5, gains, p)
+    assert p_threshold(1.0, unreachable, params) == math.inf
+    assert p_threshold(1.0, normal, zeta0) == 0.0
+    assert p_threshold(1.0, ChannelGains(1.0, 5.0, 1e-320), zeta0) == 0.0
+
+
+def test_jamming_sign_rejects_tau_of_one():
+    # a strategy's tau lies in [0, 1), though p_threshold accepts tau == 1
+    gains = ChannelGains(1.0, 1.0, 0.2)
+    params = reference_params()
+    for tau in (1.0, np.array([0.5, 1.0]), -1e-300):
+        with pytest.raises(ValueError, match=r"tau must lie in \[0, 1\)"):
+            jamming_sign(1.0, tau, gains, params)
 
 
 def test_threshold_unbounded_interference_free_jammer():
@@ -325,8 +348,11 @@ def test_p_threshold_array_matches_scalar_calls():
     assert np.all(np.isinf(out[:, 1]))  # unbounded at every tau, tau == 0 too
     assert out[0, 2] == 0.0 and np.all(np.isinf(out[1:, 2]))
     assert np.all(out[1:, 3] < 0.0)
+    gains = ChannelGains(1.0, 1.0, 0.2)
+    half, k = p_threshold(np.array([0.5, 1.0]), gains, params)
+    assert k == 2 * half == p_threshold(1.0, gains, params)
     with pytest.raises(ValueError):
-        p_threshold(np.array([0.5, 1.0]), ChannelGains(1.0, 1.0, 0.2), params)
+        p_threshold(np.array([0.5, np.nextafter(1.0, 2.0)]), gains, params)
 
 
 def test_p_threshold_unbounded_at_zero_efficiency_without_interference():

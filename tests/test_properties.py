@@ -24,6 +24,7 @@ from ehjam import (
     solve_nj,
 )
 from ehjam.solvers import _optimal_snr, _optimal_tau, _tau_derivative
+from helpers import bounded_p_threshold
 
 # deterministic examples, no example database: the suite reruns identically
 _SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -153,3 +154,28 @@ def test_solvers_over_the_whole_jamming_budget_range(draws, gamma_max, zeta, sir
     # full-power jamming never leaves the link worse off than neutralizing it
     assert np.all(ne.value >= np.array(grid) - 1e-12 * np.maximum(1.0, ne.value))
     assert np.all(nj.value <= ne.value + 1e-9 * np.maximum(1.0, ne.value))
+
+
+_DEEP_SUBNORMAL = st.one_of(st.just(5e-324), _log_uniform(-323.0, -300.0))
+
+
+@_SETTINGS
+@given(
+    draws=st.lists(st.tuples(_WIDE_GAIN, _WIDE_GAIN, _WIDE_GAIN), min_size=1, max_size=4),
+    zeta=_DEEP_SUBNORMAL,
+    p_max=_DEEP_SUBNORMAL,
+)
+def test_neutralizing_solve_at_subnormal_budgets(draws, zeta, p_max):
+    # K and P/K round coarsely here: the kink still costs at most one ulp
+    # nudge (K, one pass, one nudge), and no 0/0 turns it into nan
+    params = SystemParams(n_a=0.1, n_b=0.2, p_max=p_max, gamma_max=10.0, zeta=zeta)
+    for draw in draws:
+        gains = ChannelGains(*draw)
+        with warnings.catch_warnings(), bounded_p_threshold(3):
+            warnings.simplefilter("error", RuntimeWarning)
+            res = solve_nj(gains, params)
+        legit = res.profile.legit
+        assert np.isfinite(res.value)
+        assert 0.0 <= legit.p <= p_max
+        if res.feasible:
+            assert jamming_sign(legit.p, legit.tau, gains, params) >= 0.0

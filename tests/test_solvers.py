@@ -85,6 +85,14 @@ def test_tau_profile_capacity_validates_profile():
         tau_profile_capacity(OnThreshold(), 0.5, ChannelGains(0.2, 0.2, 1.0), params)
 
 
+def test_tau_profile_capacity_is_zero_at_tau_one():
+    # the transmit slice vanishes on either profile; the threshold reads K there
+    gains = ChannelGains(1.0, 1.0, 0.2)
+    params = reference_params()
+    assert tau_profile_capacity(FixedPower(5.0, 10.0), 1.0, gains, params) == 0.0
+    assert tau_profile_capacity(OnThreshold(), 1.0, gains, params) == 0.0
+
+
 def _tau_profiles(params):
     """The tau-profiles behind the paper's three optima, by symbol: the
     threshold optimum, the silent-jammer optimum and the full-power one."""
@@ -205,6 +213,30 @@ def test_solve_nj_case_a_independent_of_power_budget():
     assert res1.regime is SolutionRegime.NJ_CASE_A
     assert abs(res1.profile.legit.p - res2.profile.legit.p) <= 1e-9
     assert abs(res1.profile.legit.tau - res2.profile.legit.tau) <= 1e-9
+
+
+def test_solve_nj_feasible_link_whose_slope_rounds_to_zero():
+    # ga2*n_b > gb2*n_a, yet K = (ga2*n_b/gb2 - n_a)*zeta rounds to 0:
+    # feasibility is decided by the gain test, so the link rides a zero
+    # threshold (case a, p = 0) and the jammer still has no reason to jam
+    gains = ChannelGains(1.0, 9.818525784207961e87, 1.1197350579226512e88)
+    params = SystemParams(n_a=2.623505221150671, n_b=2.9919265227070917,
+                          p_max=1.0, gamma_max=1.0, zeta=1.0)
+    assert neutralization_feasible(gains, params)
+    assert p_threshold(1.0, gains, params) == 0.0
+    res = solve_nj(gains, params)
+    assert res.regime is SolutionRegime.NJ_CASE_A and res.feasible
+    assert res.profile.legit.p == 0.0
+    assert jamming_sign(res.profile.legit.p, res.profile.legit.tau, gains, params) >= 0.0
+
+
+def test_solve_nj_infeasible_link_whose_slope_rounds_positive():
+    # the converse: equal links are infeasible though K rounds to 1.1e-17
+    gains = ChannelGains(1.0, 1.2693673963645416e-93, 1.2693673963645416e-93)
+    params = SystemParams(n_a=0.2, n_b=0.2, p_max=1.0, gamma_max=1.0, zeta=0.8)
+    assert not neutralization_feasible(gains, params)
+    assert p_threshold(1.0, gains, params) > 0.0
+    assert solve_nj(gains, params).regime is SolutionRegime.NJ_INFEASIBLE
 
 
 def test_solve_nj_case_b_at_low_sir():
@@ -422,7 +454,7 @@ def test_channel_batch_forms_each_fixed_power_profile_once(monkeypatch):
 
 
 def test_solve_nj_reads_the_threshold_at_its_final_tau_once(monkeypatch):
-    # one call for K/2 and one per pass of the ulp-nudge loop; the final p
+    # one call for K and one per pass of the ulp-nudge loop; the final p
     # reuses the loop's last threshold
     calls = []
     real = solvers.p_threshold
