@@ -252,9 +252,9 @@ class SweepConfig:
         for name in ("mc_draws", "rng_seed"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.mc_draws < 1:
-            raise ValueError("mc_draws must be >= 1")
+            raise ValueError("draws must be >= 1")
         if not 0 <= self.rng_seed < 2**128:
-            raise ValueError("rng_seed must lie in [0, 2**128)")
+            raise ValueError("seed must lie in [0, 2**128)")
         for sir_db in sir_points(self):
             transmit_budget(self.params.gamma_max, sir_db)
 

@@ -335,23 +335,24 @@ class ChannelBatch:
         is the threshold optimum t_hat where t_hat < P/K (case a when P/K > 1,
         which makes it independent of P; else case b, candidate 1); otherwise
         full power at the silent-jammer optimum t_tilde raised to at least P/K
-        (candidate 2, or 1 at the kink itself). The kink is P/K rounded to
-        nearest, so where tau*K still rounds below P, one ulp up is past P/K:
-        the loop nudges at most once."""
+        (candidate 2, or 1 at the kink itself). Where t0 = fl(P/K) has t0*K
+        round below P, one ulp up is enough: t0 is within half an ulp of P/K, so
+        the next float t1 > t0*(1 + 2^-53) >= P/K*(1 - 2^-106) and t1*K rounds
+        to >= P. A subnormal P/K (t0 = 0 too) is within 2^-1075 of t0, so t1*K >
+        P; a subnormal t1*K misses P by under half its spacing. A t_tilde > t0
+        is >= t1, and rounding is monotone."""
         gains, params, feasible = self.gains, self.params, self.feasible
         t_tilde = self._fixed_power_tau(p_max, 0.0)
         k, t_hat = self._threshold
         with np.errstate(divide="ignore", over="ignore"):  # an inf kink is exact
             p_inv = np.divide(p_max, k)
-
         on_threshold = t_hat < p_inv
         tau = np.select([~feasible, on_threshold], [0.0, t_hat],
                         np.minimum(np.maximum(t_tilde, p_inv), TAU_LIMIT))
-        short = feasible & ~on_threshold
-        while np.any(short := short & ((threshold := p_threshold(tau, gains, params))
-                                       < p_max) & (tau < TAU_LIMIT)):
-            tau = np.where(short, np.nextafter(tau, 1.0), tau)
-        p = np.where(feasible, np.minimum(threshold, p_max), 0.0)
+        threshold = p_threshold(tau, gains, params)
+        short = feasible & ~on_threshold & (threshold < p_max) & (tau < TAU_LIMIT)
+        tau = np.where(short, np.nextafter(tau, 1.0), tau)
+        p = np.where(short, p_max, np.where(feasible, np.minimum(threshold, p_max), 0.0))
         value = capacity(p, tau, 0.0, gains, params)
         regime = np.select([~feasible, p_inv > 1.0, on_threshold | (t_tilde <= p_inv)],
                            [0, 1, 2], 3)
@@ -407,9 +408,7 @@ def verify_saddle_point(profile: StrategyProfile, gains: ChannelGains,
     gammas = np.linspace(0.0, params.gamma_max, n_gamma)
     legit = capacity(ps[:, None], taus[None, :], profile.gamma, gains, params)
     jam = capacity(profile.legit.p, profile.legit.tau, gammas, gains, params)
-    legit_violation = float(np.max(legit)) - c_star
-    jammer_violation = c_star - float(np.min(jam))
-    worst = max(legit_violation, jammer_violation)
+    worst = max(float(np.max(legit)) - c_star, c_star - float(np.min(jam)))
     return worst <= tol, worst
 
 

@@ -13,6 +13,7 @@ from ehjam import (
     neutralization_feasible,
     sample_channels,
     solve_ne,
+    transmit_budget,
 )
 from ehjam import solvers
 
@@ -33,7 +34,7 @@ def reference_params(p_max=10.0, zeta=ZETA, gamma_max=GAMMA_MW) -> SystemParams:
 
 
 def params_at_sir(sir_db: float, zeta: float = ZETA) -> SystemParams:
-    return reference_params(p_max=GAMMA_MW * db_to_linear(sir_db), zeta=zeta)
+    return reference_params(p_max=transmit_budget(GAMMA_MW, sir_db), zeta=zeta)
 
 
 def random_gains(rng: np.random.Generator) -> ChannelGains:
@@ -98,11 +99,10 @@ def infeasible_instances(seed: int, count: int, zeta: float = ZETA):
 
 
 @contextmanager
-def bounded_p_threshold(limit: int = 3):
-    """Patch solvers.p_threshold inside the block to raise past limit calls,
-    so that a neutralizing solve which keeps nudging tau fails fast instead of
-    hanging; ChannelBatch.nj reads K once, then the threshold once per pass of
-    its ulp-nudge loop."""
+def bounded_p_threshold(limit: int = 2):
+    """Patch solvers.p_threshold inside the block to raise past limit calls:
+    ChannelBatch reads K once, then the threshold once per nj budget, its
+    one-ulp nudge included."""
     calls, real = [], solvers.p_threshold
 
     def counted(*args):

@@ -115,11 +115,11 @@ def test_huge_gains_finite_without_warnings(capsys, argv, regime, capacity_bpcu)
     (9.688935366430316e299, 5.050715603424172),  # once read the kink as 0/0
 ])
 def test_nj_at_subnormal_budgets_finishes_finite(capsys, h2, ga2):
-    # K and P round to a few ulps of 5e-324: reading K, one pass and one ulp
-    # nudge must settle the kink
+    # K and P round to a few ulps of 5e-324: reading K and then the threshold
+    # once, with at most one ulp nudge, must settle the kink
     argv = ["nj", "--zeta", "5e-324", "--p-mw", "5e-324", "--h2", repr(h2),
             "--ga2", repr(ga2), "--gb2", "1"]
-    with warnings.catch_warnings(), bounded_p_threshold(3):
+    with warnings.catch_warnings(), bounded_p_threshold(2):
         warnings.simplefilter("error")
         assert run(argv) == 0
     capacity_bpcu = float(_parse_kv(capsys.readouterr().out)["capacity_bpcu"])
@@ -127,12 +127,23 @@ def test_nj_at_subnormal_budgets_finishes_finite(capsys, h2, ga2):
 
 
 def test_sweep_at_subnormal_zeta_and_jamming_budget_finishes(tmp_path, capsys):
-    # one chunk at 41 SIR points: K once, then a pass and a nudge per point;
+    # one chunk at 41 SIR points: K once, then one threshold read per point;
     # the dominance check may still reject these deep-subnormal sums
     argv = ["sweep", "--zeta", "1e-320", "--gamma-mw", "1e-318", "--draws", "200",
             "--out", str(tmp_path / "s.csv")]
-    with bounded_p_threshold(1 + 2 * 41):
+    with bounded_p_threshold(1 + 41):
         assert run(argv) in (0, 1)
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--draws", "0", "draws must be >= 1"),
+    ("--seed", "-1", "seed must lie in [0, 2**128)"),
+])
+def test_sweep_config_errors_name_the_flag(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "s.csv"
+    assert run(["sweep", flag, value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"ehjam: error: {message}\n"
+    assert not out.exists()
 
 
 def test_nj_infeasible_exits_2(capsys):

@@ -20,11 +20,14 @@ from ehjam import (
     ne_grid_optimum,
     neutralization_feasible,
     nj_grid_value,
+    p_threshold,
     solve_ne,
     solve_nj,
+    transmit_budget,
 )
+from ehjam.experiments import _gain_block
 from ehjam.solvers import _optimal_snr, _optimal_tau, _tau_derivative
-from helpers import bounded_p_threshold
+from helpers import GAMMA_MW, bounded_p_threshold, reference_params
 
 # deterministic examples, no example database: the suite reruns identically
 _SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -167,11 +170,12 @@ _DEEP_SUBNORMAL = st.one_of(st.just(5e-324), _log_uniform(-323.0, -300.0))
 )
 def test_neutralizing_solve_at_subnormal_budgets(draws, zeta, p_max):
     # K and P/K round coarsely here: the kink still costs at most one ulp
-    # nudge (K, one pass, one nudge), and no 0/0 turns it into nan
+    # nudge and two threshold reads (K, then the kink), and no 0/0 turns it
+    # into nan
     params = SystemParams(n_a=0.1, n_b=0.2, p_max=p_max, gamma_max=10.0, zeta=zeta)
     for draw in draws:
         gains = ChannelGains(*draw)
-        with warnings.catch_warnings(), bounded_p_threshold(3):
+        with warnings.catch_warnings(), bounded_p_threshold(2):
             warnings.simplefilter("error", RuntimeWarning)
             res = solve_nj(gains, params)
         legit = res.profile.legit
@@ -179,3 +183,69 @@ def test_neutralizing_solve_at_subnormal_budgets(draws, zeta, p_max):
         assert 0.0 <= legit.p <= p_max
         if res.feasible:
             assert jamming_sign(legit.p, legit.tau, gains, params) >= 0.0
+
+
+def _nj_nudging_until_reached(batch, p_max):
+    """Reference for ChannelBatch.nj: the same tau and regime picks, with the
+    kink settled by nudging tau one ulp per pass until the threshold reaches P
+    (an error after 64 passes rather than a hang)."""
+    gains, params, feasible = batch.gains, batch.params, batch.feasible
+    t_tilde = batch._fixed_power_tau(p_max, 0.0)
+    k, t_hat = batch._threshold
+    with np.errstate(divide="ignore", over="ignore"):
+        p_inv = np.divide(p_max, k)
+    on_threshold = t_hat < p_inv
+    tau = np.select([~feasible, on_threshold], [0.0, t_hat],
+                    np.minimum(np.maximum(t_tilde, p_inv), TAU_LIMIT))
+    short = feasible & ~on_threshold
+    for _ in range(64):
+        threshold = p_threshold(tau, gains, params)
+        short &= (threshold < p_max) & (tau < TAU_LIMIT)
+        if not np.any(short):
+            break
+        tau = np.where(short, np.nextafter(tau, 1.0), tau)
+    else:
+        raise AssertionError("threshold still below P after 64 nudges")
+    p = np.where(feasible, np.minimum(threshold, p_max), 0.0)
+    regime = np.select([~feasible, p_inv > 1.0, on_threshold | (t_tilde <= p_inv)],
+                       [0, 1, 2], 3)
+    return p, tau, capacity(p, tau, 0.0, gains, params), regime
+
+
+def _assert_nj_bits_equal(batch, p_max):
+    """Assert ChannelBatch.nj bit-equal to the reference; return its tau."""
+    want = _nj_nudging_until_reached(batch, p_max)
+    got = batch.nj(p_max)
+    for name, a, b in zip(got._fields, got, want):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+    return got.tau
+
+
+@_SETTINGS
+@given(
+    draws=st.lists(st.one_of(st.tuples(_WIDE_GAIN, _WIDE_GAIN, _WIDE_GAIN),
+                             _SUBNORMAL_LINK), min_size=1, max_size=4),
+    zeta=st.one_of(st.sampled_from([0.0, 1e-310, 1e-305, 0.3, 1.0]), _DEEP_SUBNORMAL),
+    p_max=st.one_of(_log_uniform(-3.0, 5.0), _DEEP_SUBNORMAL),
+)
+def test_one_ulp_nudge_matches_nudging_until_reached(draws, zeta, p_max):
+    # every regime over the extreme ranges; few of these links take the
+    # nudge, which the sweep-draw test below exercises hundreds of times
+    h2, ga2, gb2 = (np.array(c) for c in zip(*draws))
+    params = SystemParams(n_a=0.1, n_b=0.2, p_max=p_max, gamma_max=10.0, zeta=zeta)
+    _assert_nj_bits_equal(ChannelBatch(ChannelGains(h2, ga2, gb2), params), p_max)
+
+
+def test_one_ulp_nudge_matches_nudging_until_reached_on_sweep_draws():
+    # the default sweep's first 4096 draws at every SIR point: hundreds of
+    # links sit at a kink whose fl(P/K)*K rounds below P
+    gains = ChannelGains(*_gain_block(0, 0, 4096).T)
+    batch = ChannelBatch(gains, reference_params())
+    nudged = 0
+    for sir_db in range(-30, 11):
+        p_max = transmit_budget(GAMMA_MW, float(sir_db))
+        tau = _assert_nj_bits_equal(batch, p_max)
+        kink = np.divide(p_max, batch._threshold[0])
+        nudged += int(np.sum(batch.feasible & (tau == np.nextafter(kink, 1.0))))
+    assert nudged >= 100
+

@@ -20,6 +20,7 @@ from ehjam import (
     neutralization_feasible,
     nj_grid_value,
     p_threshold,
+    sample_channels,
     solve_ne,
     solve_nj,
     tau_profile_capacity,
@@ -454,13 +455,34 @@ def test_channel_batch_forms_each_fixed_power_profile_once(monkeypatch):
 
 
 def test_solve_nj_reads_the_threshold_at_its_final_tau_once(monkeypatch):
-    # one call for K and one per pass of the ulp-nudge loop; the final p
-    # reuses the loop's last threshold
+    # one call for K and one at the kink's tau; the final p reuses that read
     calls = []
     real = solvers.p_threshold
     monkeypatch.setattr(solvers, "p_threshold", lambda *a: calls.append(1) or real(*a))
     solve_nj(ChannelGains(1.0, 1.0, 0.2), params_at_sir(10.0))
     assert len(calls) == 2
+
+
+def test_solve_nj_settles_a_kink_below_p_in_one_ulp_step(monkeypatch):
+    # draw 78 of seed 0 at -10 dB (P = 1 mW): fl(P/K)*K rounds below P, so
+    # tau steps one ulp past the kink, and that step alone reaches P
+    gains = ChannelGains(1.1676177856993808, 2.450164956445085, 0.07503071158396635)
+    assert sample_channels(0, 78) == gains
+    params = params_at_sir(-10.0)
+    p_max = params.p_max
+    k = p_threshold(1.0, gains, params)
+    assert p_threshold(p_max / k, gains, params) < p_max
+    calls = []
+    real = solvers.p_threshold
+    monkeypatch.setattr(solvers, "p_threshold", lambda *a: calls.append(1) or real(*a))
+    res = solve_nj(gains, params)
+    monkeypatch.undo()
+    assert len(calls) == 2  # K, then the threshold at fl(P/K)
+    legit = res.profile.legit
+    assert res.regime is SolutionRegime.NJ_CASE_B_CANDIDATE1
+    assert legit.p == p_max
+    assert (p_threshold(np.nextafter(legit.tau, 0.0), gains, params) < p_max
+            <= p_threshold(legit.tau, gains, params))
 
 
 # --- saddle point verification ----------------------------------------------
