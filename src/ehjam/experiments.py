@@ -196,7 +196,7 @@ def sample_channels(seed: int, index: int) -> ChannelGains:
 def _relative_gain(c_ref, c_other, other_name: str):
     ref = np.asarray(c_ref, dtype=float)
     other = np.asarray(c_other, dtype=float)
-    if np.any(ref < 0.0) or np.any(other < 0.0):
+    if not (np.all(ref >= 0.0) and np.all(other >= 0.0)):
         raise ValueError("capacities must be >= 0")
     if np.any((ref == 0.0) & (other > 0.0)):
         raise ValueError(f"{other_name} > 0 with zero reference capacity")

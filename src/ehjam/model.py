@@ -70,7 +70,7 @@ def db_to_linear(x_db):
 
 def linear_to_db(x):
     """Convert a positive linear ratio (or mW) to dB (or dBm)."""
-    if np.any(np.asarray(x) <= 0.0):
+    if not np.all(np.asarray(x) > 0.0):
         raise ValueError("linear value must be positive to express in dB")
     out = 10.0 * np.log10(x)
     return float(out) if np.ndim(out) == 0 else out
@@ -149,7 +149,7 @@ class StrategyProfile:
 
 
 def _check_nonneg(name, value):
-    if np.any(np.asarray(value) < 0.0):
+    if not np.all(np.asarray(value) >= 0.0):
         raise ValueError(f"{name} must be >= 0")
 
 
@@ -196,8 +196,7 @@ def capacity(p, tau, gamma, gains: ChannelGains, params: SystemParams):
     """
     _check_nonneg("p", p)
     _check_nonneg("gamma", gamma)
-    t = np.asarray(tau)
-    if np.any(t < 0.0) or np.any(t > 1.0):
+    if not np.all(((t := np.asarray(tau)) >= 0.0) & (t <= 1.0)):
         raise ValueError("tau must lie in [0, 1]")
     remain = 1.0 - np.asarray(tau, dtype=float)
     p, lead, den = snr_factors(p, gamma, gains, params)
@@ -231,7 +230,7 @@ def p_threshold(tau, gains: ChannelGains, params: SystemParams):
     that K overflows, and 0 at tau == 0 otherwise.
     """
     t = np.asarray(tau, dtype=float)
-    if np.any(t < 0.0) or np.any(t > 1.0):
+    if not np.all((t >= 0.0) & (t <= 1.0)):
         raise ValueError("tau must lie in [0, 1]")
     gb2 = np.asarray(gains.gb2, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -257,7 +256,7 @@ def jamming_sign(p, tau, gains: ChannelGains, params: SystemParams):
     p_threshold - p when gb2 > 0 and of tau*zeta*ga2 when gb2 == 0. Links
     that cannot be neutralized read -1 throughout, flat cases included.
     """
-    if np.any((t := np.asarray(tau)) < 0.0) or np.any(t >= 1.0):
+    if not np.all(((t := np.asarray(tau)) >= 0.0) & (t < 1.0)):
         raise ValueError("tau must lie in [0, 1)")
     slope = np.where(np.asarray(gains.gb2) == 0.0,
                      tau * params.zeta * gains.ga2,

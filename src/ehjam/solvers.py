@@ -203,7 +203,7 @@ def _profile_tau(profile: FixedPower | OnThreshold, gains: ChannelGains,
         scale = gains.h2 / den
         beta = lead * scale
         over = np.isinf(beta) & (den > 0.0)
-        if np.any(over):
+        if any_over := np.any(over):
             log1p_beta = log1p_snr(lead, gains.h2, den)
             beta = np.where(over, np.expm1(log1p_beta), beta)
             w = _wright_omega(log1p_beta - 1.0)
@@ -212,7 +212,7 @@ def _profile_tau(profile: FixedPower | OnThreshold, gains: ChannelGains,
     def tau(p=p0):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             alpha = p * scale
-            if not np.any(over):
+            if not any_over:
                 return _optimal_tau(alpha, beta, s)
             ratio = p / lead
             tau = _optimal_tau(np.where(over, ratio * beta, alpha), beta, s)
@@ -224,8 +224,7 @@ def _profile_tau(profile: FixedPower | OnThreshold, gains: ChannelGains,
 def capacity_tau_derivative(profile: FixedPower | OnThreshold, tau, gains: ChannelGains,
                             params: SystemParams):
     """Analytic derivative of capacity along a tau-profile."""
-    t = np.asarray(tau)
-    if np.any(t < 0.0) or np.any(t >= 1.0):
+    if not np.all(((t := np.asarray(tau)) >= 0.0) & (t < 1.0)):
         raise ValueError("tau must lie in [0, 1)")
     _check_profile(profile, gains, params)
     p, lead, den = _profile_factors(profile, gains, params)
@@ -297,7 +296,7 @@ class ChannelBatch:
     """Both operating points of an array of channels (0-d for scalar gains) at
     any transmit budget P (params.p_max is not read); feasible marks where the
     jammer can be neutralized. What does not depend on P (each tau-profile's
-    beta and s(beta), t_hat and K) is computed on first use and kept."""
+    beta and s(beta), t_hat, K and the threshold at tau = 0) is kept from first use."""
 
     def __init__(self, gains: ChannelGains, params: SystemParams):
         self.gains, self.params = gains, params
@@ -314,9 +313,10 @@ class ChannelBatch:
 
     @cached_property
     def _threshold(self):
-        """K = p_threshold(1) and the threshold optimum t_hat."""
-        return (p_threshold(1.0, self.gains, self.params),
-                _profile_tau(OnThreshold(), self.gains, self.params)())
+        """The threshold at tau = 0, K = p_threshold(1) and the threshold optimum t_hat."""
+        gains, params = self.gains, self.params
+        return (p_threshold(0.0, gains, params), p_threshold(1.0, gains, params),
+                _profile_tau(OnThreshold(), gains, params)())
 
     def ne(self, p_max: float) -> NEArrays:
         """Full-power operating point: both budgets spent, tau optimal for them."""
@@ -343,19 +343,20 @@ class ChannelBatch:
         is >= t1, and rounding is monotone."""
         gains, params, feasible = self.gains, self.params, self.feasible
         t_tilde = self._fixed_power_tau(p_max, 0.0)
-        k, t_hat = self._threshold
+        at_zero, k, t_hat = self._threshold
         with np.errstate(divide="ignore", over="ignore"):  # an inf kink is exact
             p_inv = np.divide(p_max, k)
         on_threshold = t_hat < p_inv
-        tau = np.select([~feasible, on_threshold], [0.0, t_hat],
-                        np.minimum(np.maximum(t_tilde, p_inv), TAU_LIMIT))
-        threshold = p_threshold(tau, gains, params)
+        beyond = ~on_threshold & (t_tilde > p_inv)
+        tau = np.where(feasible, np.where(on_threshold, t_hat,
+                                          np.where(beyond, t_tilde, p_inv)), 0.0)
+        with np.errstate(invalid="ignore"):  # 0*inf where gb2 == 0: read at_zero
+            threshold = np.where(tau == 0.0, at_zero, tau * k)
         short = feasible & ~on_threshold & (threshold < p_max) & (tau < TAU_LIMIT)
         tau = np.where(short, np.nextafter(tau, 1.0), tau)
         p = np.where(short, p_max, np.where(feasible, np.minimum(threshold, p_max), 0.0))
         value = capacity(p, tau, 0.0, gains, params)
-        regime = np.select([~feasible, p_inv > 1.0, on_threshold | (t_tilde <= p_inv)],
-                           [0, 1, 2], 3)
+        regime = np.where(feasible, np.where(p_inv > 1.0, 1, 2 + beyond), 0)
         return NJArrays(p, tau, value, regime)
 
 

@@ -1,18 +1,23 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from ehjam import (
     ChannelGains,
+    FixedPower,
     LegitStrategy,
     StrategyProfile,
     SystemParams,
     TAU_LIMIT,
     capacity,
+    capacity_tau_derivative,
     db_to_linear,
     jamming_sign,
     linear_to_db,
+    metric_f,
+    metric_fnj,
     neutralization_feasible,
     p_threshold,
     snr_factors,
@@ -229,6 +234,30 @@ def test_capacity_domain_errors():
         capacity(1.0, 1.1, 0.0, gains, params)
     with pytest.raises(ValueError):
         capacity(1.0, 0.5, -2.0, gains, params)
+
+
+_GAINS = ChannelGains(1.0, 1.0, 0.2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: capacity(math.nan, 0.5, 0.0, _GAINS, reference_params()), "p must be >= 0"),
+    (lambda: capacity(1.0, math.nan, 0.0, _GAINS, reference_params()), "tau must lie in [0, 1]"),
+    (lambda: capacity(1.0, 0.5, np.array([1.0, math.nan]), _GAINS, reference_params()),
+     "gamma must be >= 0"),
+    (lambda: p_threshold(np.array([0.5, math.nan]), _GAINS, reference_params()),
+     "tau must lie in [0, 1]"),
+    (lambda: jamming_sign(1.0, math.nan, _GAINS, reference_params()), "tau must lie in [0, 1)"),
+    (lambda: capacity_tau_derivative(FixedPower(1.0, 0.0), math.nan, _GAINS,
+                                     reference_params()), "tau must lie in [0, 1)"),
+    (lambda: metric_f(1.0, math.nan), "capacities must be >= 0"),
+    (lambda: metric_fnj(np.array([math.nan, 1.0]), 0.5), "capacities must be >= 0"),
+    (lambda: linear_to_db(math.nan), "linear value must be positive to express in dB"),
+], ids=["capacity-p", "capacity-tau", "capacity-gamma", "p_threshold", "jamming_sign",
+        "capacity_tau_derivative", "metric_f", "metric_fnj", "linear_to_db"])
+def test_range_checks_reject_nan(call, message):
+    # each check is written as the range it accepts, so nan falls outside it
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_capacity_increasing_in_transmit_power():

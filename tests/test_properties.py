@@ -170,7 +170,7 @@ _DEEP_SUBNORMAL = st.one_of(st.just(5e-324), _log_uniform(-323.0, -300.0))
 )
 def test_neutralizing_solve_at_subnormal_budgets(draws, zeta, p_max):
     # K and P/K round coarsely here: the kink still costs at most one ulp
-    # nudge and two threshold reads (K, then the kink), and no 0/0 turns it
+    # nudge and two threshold reads (tau = 0 and K), and no 0/0 turns it
     # into nan
     params = SystemParams(n_a=0.1, n_b=0.2, p_max=p_max, gamma_max=10.0, zeta=zeta)
     for draw in draws:
@@ -191,7 +191,7 @@ def _nj_nudging_until_reached(batch, p_max):
     (an error after 64 passes rather than a hang)."""
     gains, params, feasible = batch.gains, batch.params, batch.feasible
     t_tilde = batch._fixed_power_tau(p_max, 0.0)
-    k, t_hat = batch._threshold
+    _, k, t_hat = batch._threshold
     with np.errstate(divide="ignore", over="ignore"):
         p_inv = np.divide(p_max, k)
     on_threshold = t_hat < p_inv
@@ -245,7 +245,7 @@ def test_one_ulp_nudge_matches_nudging_until_reached_on_sweep_draws():
     for sir_db in range(-30, 11):
         p_max = transmit_budget(GAMMA_MW, float(sir_db))
         tau = _assert_nj_bits_equal(batch, p_max)
-        kink = np.divide(p_max, batch._threshold[0])
+        kink = np.divide(p_max, batch._threshold[1])
         nudged += int(np.sum(batch.feasible & (tau == np.nextafter(kink, 1.0))))
     assert nudged >= 100
 

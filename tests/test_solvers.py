@@ -454,13 +454,28 @@ def test_channel_batch_forms_each_fixed_power_profile_once(monkeypatch):
     assert sorted(calls) == [0.0, reference_params().gamma_max]
 
 
-def test_solve_nj_reads_the_threshold_at_its_final_tau_once(monkeypatch):
-    # one call for K and one at the kink's tau; the final p reuses that read
+def test_channel_batch_reads_the_threshold_line_twice_per_chunk(monkeypatch):
+    # the line at tau = 0 and K = p_threshold(1) are read on first use; every
+    # later budget evaluates tau*K from them
     calls = []
     real = solvers.p_threshold
-    monkeypatch.setattr(solvers, "p_threshold", lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(solvers, "p_threshold", lambda *a: calls.append(a[0]) or real(*a))
+    batch = ChannelBatch(ChannelGains(np.array([1.0, 0.3, 1.0]), np.array([1.0, 2.0, 1.0]),
+                                      np.array([0.2, 1.5, 0.0])), reference_params())
+    for sir_db in (-30.0, 0.0, 10.0):
+        p_max = params_at_sir(sir_db).p_max
+        batch.ne(p_max)
+        batch.nj(p_max)
+    assert calls == [0.0, 1.0]
+
+
+def test_solve_nj_reads_the_threshold_line_at_zero_and_one(monkeypatch):
+    # one call at tau = 0 and one for K; the kink's threshold is tau*K
+    calls = []
+    real = solvers.p_threshold
+    monkeypatch.setattr(solvers, "p_threshold", lambda *a: calls.append(a[0]) or real(*a))
     solve_nj(ChannelGains(1.0, 1.0, 0.2), params_at_sir(10.0))
-    assert len(calls) == 2
+    assert calls == [0.0, 1.0]
 
 
 def test_solve_nj_settles_a_kink_below_p_in_one_ulp_step(monkeypatch):
@@ -477,7 +492,7 @@ def test_solve_nj_settles_a_kink_below_p_in_one_ulp_step(monkeypatch):
     monkeypatch.setattr(solvers, "p_threshold", lambda *a: calls.append(1) or real(*a))
     res = solve_nj(gains, params)
     monkeypatch.undo()
-    assert len(calls) == 2  # K, then the threshold at fl(P/K)
+    assert len(calls) == 2  # the line at tau = 0 and K; fl(P/K)*K is read from K
     legit = res.profile.legit
     assert res.regime is SolutionRegime.NJ_CASE_B_CANDIDATE1
     assert legit.p == p_max
