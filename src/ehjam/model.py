@@ -29,6 +29,7 @@ __all__ = [
     "capacity",
     "db_to_linear",
     "jamming_sign",
+    "jamming_sign_from_threshold",
     "linear_to_db",
     "log1p_snr",
     "neutralization_feasible",
@@ -149,7 +150,7 @@ class StrategyProfile:
 
 
 def _check_nonneg(name, value):
-    if not np.all(np.asarray(value) >= 0.0):
+    if not (np.asarray(value) >= 0.0).all():
         raise ValueError(f"{name} must be >= 0")
 
 
@@ -180,7 +181,7 @@ def log1p_snr(x, h2, den):
         snr = x * (h2 / den)
         out = np.log1p(snr)
         over = ~np.isfinite(snr)
-        if np.any(over):
+        if over.any():
             log_snr = np.log(x) + np.log(h2) - np.log(den)
             out = np.where(over, np.logaddexp(0.0, log_snr), out)
     return out
@@ -196,7 +197,7 @@ def capacity(p, tau, gamma, gains: ChannelGains, params: SystemParams):
     """
     _check_nonneg("p", p)
     _check_nonneg("gamma", gamma)
-    if not np.all(((t := np.asarray(tau)) >= 0.0) & (t <= 1.0)):
+    if not (((t := np.asarray(tau)) >= 0.0) & (t <= 1.0)).all():
         raise ValueError("tau must lie in [0, 1]")
     remain = 1.0 - np.asarray(tau, dtype=float)
     p, lead, den = snr_factors(p, gamma, gains, params)
@@ -230,19 +231,24 @@ def p_threshold(tau, gains: ChannelGains, params: SystemParams):
     that K overflows, and 0 at tau == 0 otherwise.
     """
     t = np.asarray(tau, dtype=float)
-    if not np.all((t >= 0.0) & (t <= 1.0)):
+    if not ((t >= 0.0) & (t <= 1.0)).all():
         raise ValueError("tau must lie in [0, 1]")
     gb2 = np.asarray(gains.gb2, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         k = (gains.ga2 * params.n_b / gb2 - params.n_a) * params.zeta
         huge = np.isinf(k) & (gb2 > 0.0) & (params.zeta > 0.0)
-        if np.any(huge):  # X = ga2*n_b/gb2 overflows, zeta*X may not
+        if huge.any():  # X = ga2*n_b/gb2 overflows, zeta*X may not
             log_x = np.log(gains.ga2) + math.log(params.n_b) - np.log(gb2)
             zeta_x = np.exp(math.log(params.zeta) + log_x)
             k = np.where(huge, zeta_x * (1.0 - params.n_a / np.exp(log_x)), k)
         p = t * np.where(params.zeta == 0.0, 0.0, k)
     p = np.where(gb2 == 0.0, math.inf, np.where(t == 0.0, 0.0, p))
     return float(p) if p.ndim == 0 else p
+
+
+def _check_strategy_tau(tau):
+    if not (((t := np.asarray(tau)) >= 0.0) & (t < 1.0)).all():
+        raise ValueError("tau must lie in [0, 1)")
 
 
 def jamming_sign(p, tau, gains: ChannelGains, params: SystemParams):
@@ -256,11 +262,26 @@ def jamming_sign(p, tau, gains: ChannelGains, params: SystemParams):
     p_threshold - p when gb2 > 0 and of tau*zeta*ga2 when gb2 == 0. Links
     that cannot be neutralized read -1 throughout, flat cases included.
     """
-    if not np.all(((t := np.asarray(tau)) >= 0.0) & (t < 1.0)):
-        raise ValueError("tau must lie in [0, 1)")
-    slope = np.where(np.asarray(gains.gb2) == 0.0,
-                     tau * params.zeta * gains.ga2,
-                     p_threshold(tau, gains, params) - p)
-    sign = np.where(neutralization_feasible(gains, params), np.sign(slope), -1.0)
-    return float(sign) if sign.ndim == 0 else sign
+    _check_strategy_tau(tau)  # ahead of p_threshold, whose domain is [0, 1]
+    threshold = p_threshold(tau, gains, params)
+    shape = np.broadcast_shapes(np.shape(p), np.shape(threshold))
+    lanes = lambda mask: np.flatnonzero(np.broadcast_to(mask, shape))
+    return jamming_sign_from_threshold(
+        p, tau, threshold, lanes(~np.asarray(neutralization_feasible(gains, params))),
+        lanes(np.asarray(gains.gb2) == 0.0), gains, params)
 
+
+def jamming_sign_from_threshold(p, tau, threshold, infeasible, unreached,
+                                gains: ChannelGains, params: SystemParams):
+    """jamming_sign's rule, the one place it is written, with threshold =
+    p_threshold(tau) given, and the lanes that cannot be neutralized
+    (infeasible) and the gb2 == 0 lanes (unreached, the only ones that read
+    tau*zeta*ga2) given as flat indices into the result. ChannelBatch keeps
+    the line and both index sets per chunk, so it forms K at no budget."""
+    _check_strategy_tau(tau)
+    sign = np.asarray(np.sign(threshold - p))  # a 0-d sign is a numpy scalar
+    if unreached.size:
+        lane = lambda x: np.broadcast_to(x, sign.shape).flat[unreached]
+        np.put(sign, unreached, np.sign(lane(tau) * params.zeta * lane(gains.ga2)))
+    np.put(sign, infeasible, -1.0)
+    return float(sign) if sign.ndim == 0 else sign

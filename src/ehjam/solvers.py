@@ -36,7 +36,7 @@ from .model import (
     StrategyProfile,
     SystemParams,
     capacity,
-    jamming_sign,
+    jamming_sign_from_threshold,
     log1p_snr,
     neutralization_feasible,
     p_threshold,
@@ -203,7 +203,7 @@ def _profile_tau(profile: FixedPower | OnThreshold, gains: ChannelGains,
         scale = gains.h2 / den
         beta = lead * scale
         over = np.isinf(beta) & (den > 0.0)
-        if any_over := np.any(over):
+        if any_over := over.any():
             log1p_beta = log1p_snr(lead, gains.h2, den)
             beta = np.where(over, np.expm1(log1p_beta), beta)
             w = _wright_omega(log1p_beta - 1.0)
@@ -295,13 +295,27 @@ class NJArrays(NamedTuple):
 class ChannelBatch:
     """Both operating points of an array of channels (0-d for scalar gains) at
     any transmit budget P (params.p_max is not read); feasible marks where the
-    jammer can be neutralized. What does not depend on P (each tau-profile's
-    beta and s(beta), t_hat, K and the threshold at tau = 0) is kept from first use."""
+    jammer can be neutralized. What does not depend on P is kept from first
+    use, so that each budget pays only for what does: the flat indices of the
+    lanes that cannot be neutralized; each tau-profile's beta and s(beta); the
+    threshold line, as K = p_threshold(1) and the flat indices of its K = inf
+    lanes, where tau*K is 0*inf = nan at tau = 0, with p_threshold(0) on those
+    lanes (read only for a batch that has them); the flat indices of the
+    gb2 == 0 lanes, where the jammer's sign is not that of the line minus P;
+    and t_hat, which only nj reads."""
 
     def __init__(self, gains: ChannelGains, params: SystemParams):
         self.gains, self.params = gains, params
         self.feasible = np.asarray(neutralization_feasible(gains, params))
+        self._shape = np.broadcast(gains.h2, gains.ga2, gains.gb2).shape
+        self._infeasible = self._lanes(~self.feasible)
         self._taus = {}  # jamming power -> tau(p) of that fixed-power profile
+
+    def _lanes(self, mask):
+        """Flat indices of the lanes where mask, broadcast to the batch, holds."""
+        if np.shape(mask) != self._shape:
+            mask = np.broadcast_to(mask, self._shape)
+        return mask.ravel().nonzero()[0]  # np.flatnonzero, without its call overhead
 
     def _fixed_power_tau(self, p_max, gamma):
         if not 0.0 < p_max < math.inf:
@@ -312,19 +326,42 @@ class ChannelBatch:
         return self._taus[gamma](p_max / snr_scale(gamma))
 
     @cached_property
-    def _threshold(self):
-        """The threshold at tau = 0, K = p_threshold(1) and the threshold optimum t_hat."""
+    def _line(self):
+        """K, its K = inf lanes, the threshold at tau = 0 on those lanes (read
+        only where there are any) and the gb2 == 0 lanes, all of them K = inf."""
         gains, params = self.gains, self.params
-        return (p_threshold(0.0, gains, params), p_threshold(1.0, gains, params),
-                _profile_tau(OnThreshold(), gains, params)())
+        k = p_threshold(1.0, gains, params)
+        unbounded = self._lanes(np.isinf(k))
+        if not unbounded.size:
+            return k, unbounded, None, unbounded
+        at_zero = np.broadcast_to(p_threshold(0.0, gains, params), self._shape)
+        return (k, unbounded, at_zero.flat[unbounded],
+                self._lanes(np.asarray(gains.gb2) == 0.0))
+
+    @cached_property
+    def _t_hat(self):
+        """The threshold optimum t_hat."""
+        return _profile_tau(OnThreshold(), self.gains, self.params)()
+
+    def _threshold_at(self, tau):
+        """p_threshold(tau) for a batch-shaped tau in [0, 1), as tau*K; the
+        K = inf lanes read the cached threshold at tau = 0 where tau = 0."""
+        k, unbounded, at_zero, _ = self._line
+        if not unbounded.size:
+            return tau * k
+        with np.errstate(invalid="ignore"):  # 0*inf, replaced below
+            line = np.asarray(tau * k)  # a 0-d product is a numpy scalar
+        np.put(line, unbounded, np.where(tau.flat[unbounded] == 0.0, at_zero, math.inf))
+        return line
 
     def ne(self, p_max: float) -> NEArrays:
         """Full-power operating point: both budgets spent, tau optimal for them."""
         gains, params, gamma = self.gains, self.params, self.params.gamma_max
         tau = self._fixed_power_tau(p_max, gamma)
         value = capacity(p_max, tau, gamma, gains, params)
-        stable = jamming_sign(p_max, tau, gains, params) <= 0.0
-        return NEArrays(tau, value, stable)
+        sign = jamming_sign_from_threshold(p_max, tau, self._threshold_at(tau),
+                                           self._infeasible, self._line[3], gains, params)
+        return NEArrays(tau, value, sign <= 0.0)
 
     def nj(self, p_max: float) -> NJArrays:
         """Neutralizing optimum; infeasible links get value 0 and a zero strategy.
@@ -340,23 +377,26 @@ class ChannelBatch:
         the next float t1 > t0*(1 + 2^-53) >= P/K*(1 - 2^-106) and t1*K rounds
         to >= P. A subnormal P/K (t0 = 0 too) is within 2^-1075 of t0, so t1*K >
         P; a subnormal t1*K misses P by under half its spacing. A t_tilde > t0
-        is >= t1, and rounding is monotone."""
+        is >= t1, and rounding is monotone. Only those short lanes are stepped."""
         gains, params, feasible = self.gains, self.params, self.feasible
         t_tilde = self._fixed_power_tau(p_max, 0.0)
-        at_zero, k, t_hat = self._threshold
         with np.errstate(divide="ignore", over="ignore"):  # an inf kink is exact
-            p_inv = np.divide(p_max, k)
+            p_inv = np.divide(p_max, self._line[0])
+        t_hat = self._t_hat
         on_threshold = t_hat < p_inv
-        beyond = ~on_threshold & (t_tilde > p_inv)
-        tau = np.where(feasible, np.where(on_threshold, t_hat,
-                                          np.where(beyond, t_tilde, p_inv)), 0.0)
-        with np.errstate(invalid="ignore"):  # 0*inf where gb2 == 0: read at_zero
-            threshold = np.where(tau == 0.0, at_zero, tau * k)
-        short = feasible & ~on_threshold & (threshold < p_max) & (tau < TAU_LIMIT)
-        tau = np.where(short, np.nextafter(tau, 1.0), tau)
-        p = np.where(short, p_max, np.where(feasible, np.minimum(threshold, p_max), 0.0))
+        off = ~on_threshold
+        beyond = off & (t_tilde > p_inv)
+        tau = np.where(on_threshold, t_hat, np.maximum(t_tilde, p_inv))
+        np.put(tau, self._infeasible, 0.0)
+        threshold = self._threshold_at(tau)
+        short = self._lanes(feasible & off & (threshold < p_max) & (tau < TAU_LIMIT))
+        p = np.asarray(np.minimum(threshold, p_max))  # a 0-d minimum is a numpy scalar
+        np.put(p, self._infeasible, 0.0)
+        if short.size:
+            np.put(tau, short, np.nextafter(tau.flat[short], 1.0))
+            np.put(p, short, p_max)
         value = capacity(p, tau, 0.0, gains, params)
-        regime = np.where(feasible, np.where(p_inv > 1.0, 1, 2 + beyond), 0)
+        regime = (2 - (p_inv > 1.0) + beyond) * feasible  # 0 infeasible, 1 case a, 2 or 3
         return NJArrays(p, tau, value, regime)
 
 

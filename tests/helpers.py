@@ -101,8 +101,8 @@ def infeasible_instances(seed: int, count: int, zeta: float = ZETA):
 @contextmanager
 def bounded_p_threshold(limit: int = 2):
     """Patch solvers.p_threshold inside the block to raise past limit calls:
-    ChannelBatch reads the threshold line at tau = 0 and K = p_threshold(1)
-    once, and none per nj budget, its one-ulp nudge included."""
+    ChannelBatch reads K = p_threshold(1) once, the threshold line at tau = 0
+    at most once, and none per budget, its one-ulp nudge included."""
     calls, real = [], solvers.p_threshold
 
     def counted(*args):

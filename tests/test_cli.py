@@ -115,8 +115,8 @@ def test_huge_gains_finite_without_warnings(capsys, argv, regime, capacity_bpcu)
     (9.688935366430316e299, 5.050715603424172),  # once read the kink as 0/0
 ])
 def test_nj_at_subnormal_budgets_finishes_finite(capsys, h2, ga2):
-    # K and P round to a few ulps of 5e-324: reading the line at tau = 0 and K
-    # once, with at most one ulp nudge, must settle the kink
+    # K and P round to a few ulps of 5e-324: reading K (and the line at
+    # tau = 0, if K = inf) once, with at most one ulp nudge, must settle the kink
     argv = ["nj", "--zeta", "5e-324", "--p-mw", "5e-324", "--h2", repr(h2),
             "--ga2", repr(ga2), "--gb2", "1"]
     with warnings.catch_warnings(), bounded_p_threshold(2):
@@ -127,8 +127,8 @@ def test_nj_at_subnormal_budgets_finishes_finite(capsys, h2, ga2):
 
 
 def test_sweep_at_subnormal_zeta_and_jamming_budget_finishes(tmp_path, capsys):
-    # one chunk at 41 SIR points: the threshold line is read at tau = 0 and 1
-    # once, and no SIR point reads it again; the dominance check may still
+    # one chunk at 41 SIR points: the threshold line is read at most at tau = 1
+    # and 0, once, and no SIR point reads it again; the dominance check may still
     # reject these deep-subnormal sums
     argv = ["sweep", "--zeta", "1e-320", "--gamma-mw", "1e-318", "--draws", "200",
             "--out", str(tmp_path / "s.csv")]

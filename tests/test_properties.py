@@ -14,6 +14,10 @@ from ehjam import (
     TAU_LIMIT,
     ChannelBatch,
     ChannelGains,
+    FixedPower,
+    NEArrays,
+    NJArrays,
+    OnThreshold,
     SystemParams,
     capacity,
     jamming_sign,
@@ -26,7 +30,7 @@ from ehjam import (
     transmit_budget,
 )
 from ehjam.experiments import _gain_block
-from ehjam.solvers import _optimal_snr, _optimal_tau, _tau_derivative
+from ehjam.solvers import _optimal_snr, _optimal_tau, _profile_tau, _tau_derivative
 from helpers import GAMMA_MW, bounded_p_threshold, reference_params
 
 # deterministic examples, no example database: the suite reruns identically
@@ -170,8 +174,8 @@ _DEEP_SUBNORMAL = st.one_of(st.just(5e-324), _log_uniform(-323.0, -300.0))
 )
 def test_neutralizing_solve_at_subnormal_budgets(draws, zeta, p_max):
     # K and P/K round coarsely here: the kink still costs at most one ulp
-    # nudge and two threshold reads (tau = 0 and K), and no 0/0 turns it
-    # into nan
+    # nudge and at most two threshold reads (K, and tau = 0 where K = inf),
+    # and no 0/0 turns it into nan
     params = SystemParams(n_a=0.1, n_b=0.2, p_max=p_max, gamma_max=10.0, zeta=zeta)
     for draw in draws:
         gains = ChannelGains(*draw)
@@ -191,7 +195,7 @@ def _nj_nudging_until_reached(batch, p_max):
     (an error after 64 passes rather than a hang)."""
     gains, params, feasible = batch.gains, batch.params, batch.feasible
     t_tilde = batch._fixed_power_tau(p_max, 0.0)
-    _, k, t_hat = batch._threshold
+    k, t_hat = batch._line[0], batch._t_hat
     with np.errstate(divide="ignore", over="ignore"):
         p_inv = np.divide(p_max, k)
     on_threshold = t_hat < p_inv
@@ -245,7 +249,101 @@ def test_one_ulp_nudge_matches_nudging_until_reached_on_sweep_draws():
     for sir_db in range(-30, 11):
         p_max = transmit_budget(GAMMA_MW, float(sir_db))
         tau = _assert_nj_bits_equal(batch, p_max)
-        kink = np.divide(p_max, batch._threshold[1])
+        kink = np.divide(p_max, batch._line[0])
         nudged += int(np.sum(batch.feasible & (tau == np.nextafter(kink, 1.0))))
     assert nudged >= 100
 
+
+
+def _jamming_sign_by_where(p, tau, gains, params):
+    """jamming_sign's rule over every lane, K formed by p_threshold at tau."""
+    slope = np.where(np.asarray(gains.gb2) == 0.0, tau * params.zeta * gains.ga2,
+                     p_threshold(tau, gains, params) - p)
+    sign = np.where(neutralization_feasible(gains, params), np.sign(slope), -1.0)
+    return float(sign) if sign.ndim == 0 else sign
+
+
+def _ne_per_budget(gains, params, p_max):
+    """Reference for ChannelBatch.ne: the jammer's sign re-forms K at the budget."""
+    gamma = params.gamma_max
+    tau = _profile_tau(FixedPower(p_max, gamma), gains, params)()
+    value = capacity(p_max, tau, gamma, gains, params)
+    return NEArrays(tau, value, _jamming_sign_by_where(p_max, tau, gains, params) <= 0.0)
+
+
+def _nj_nested_where(gains, params, p_max):
+    """Reference for ChannelBatch.nj: every lane decided by nested np.where,
+    stepped by nextafter and read from the line where tau == 0."""
+    feasible = neutralization_feasible(gains, params)
+    t_tilde = _profile_tau(FixedPower(p_max, 0.0), gains, params)()
+    t_hat = _profile_tau(OnThreshold(), gains, params)()
+    at_zero, k = p_threshold(0.0, gains, params), p_threshold(1.0, gains, params)
+    with np.errstate(divide="ignore", over="ignore"):
+        p_inv = np.divide(p_max, k)
+    on_threshold = t_hat < p_inv
+    beyond = ~on_threshold & (t_tilde > p_inv)
+    tau = np.where(feasible, np.where(on_threshold, t_hat,
+                                      np.where(beyond, t_tilde, p_inv)), 0.0)
+    with np.errstate(invalid="ignore"):
+        threshold = np.where(tau == 0.0, at_zero, tau * k)
+    short = feasible & ~on_threshold & (threshold < p_max) & (tau < TAU_LIMIT)
+    tau = np.where(short, np.nextafter(tau, 1.0), tau)
+    p = np.where(short, p_max, np.where(feasible, np.minimum(threshold, p_max), 0.0))
+    value = capacity(p, tau, 0.0, gains, params)
+    regime = np.where(feasible, np.where(p_inv > 1.0, 1, 2 + beyond), 0)
+    return NJArrays(p, tau, value, regime)
+
+
+def _assert_same_bits(got, want):
+    for name, a, b in zip(got._fields, got, want):
+        a, b = np.asarray(a), np.asarray(b)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+def _assert_batch_matches_per_budget_formulas(gains, params, budgets):
+    batch = ChannelBatch(gains, params)
+    for p_max in budgets:
+        _assert_same_bits(batch.ne(p_max), _ne_per_budget(gains, params, p_max))
+        _assert_same_bits(batch.nj(p_max), _nj_nested_where(gains, params, p_max))
+
+
+# gb2 == 0 (the jammer cannot reach the receiver) or so small that K overflows
+_UNREACHED_OR_HUGE_K = st.one_of(st.just(0.0), _log_uniform(-323.0, -310.0))
+
+
+@_SETTINGS
+@given(
+    draws=st.lists(st.one_of(st.tuples(_WIDE_GAIN, _WIDE_GAIN, _WIDE_GAIN),
+                             st.tuples(_WIDE_GAIN, _WIDE_GAIN, _UNREACHED_OR_HUGE_K),
+                             _SUBNORMAL_LINK), min_size=1, max_size=6),
+    zeta=st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 0.3, 1.0]), _DEEP_SUBNORMAL),
+    gamma_max=st.sampled_from([0.0, 10.0]),
+    budgets=st.lists(st.one_of(_DEEP_SUBNORMAL, _log_uniform(-300.0, 300.0)),
+                     min_size=1, max_size=3),
+)
+def test_channel_batch_matches_the_per_budget_formulas(draws, zeta, gamma_max, budgets):
+    # the line and lane indices kept per chunk give the bits that forming K
+    # at every budget and deciding every lane by np.where give, dtype and
+    # shape included, for a chunk, for one link's ga2 and gb2 broadcast
+    # against every h2, and for each link as 0-d gains
+    params = SystemParams(n_a=0.1, n_b=0.2, p_max=1.0, gamma_max=gamma_max, zeta=zeta)
+    h2, ga2, gb2 = (np.array(c) for c in zip(*draws))
+    _assert_batch_matches_per_budget_formulas(ChannelGains(h2, ga2, gb2), params, budgets)
+    _assert_batch_matches_per_budget_formulas(ChannelGains(h2, ga2[0], gb2[0]), params,
+                                              budgets)
+    for draw in draws:
+        _assert_batch_matches_per_budget_formulas(ChannelGains(*draw), params, budgets)
+    # jamming_sign itself, broadcast over a tau grid
+    taus = np.array([0.0, 5e-324, 0.5, TAU_LIMIT])[:, None]
+    for p in budgets:
+        want = _jamming_sign_by_where(p, taus, ChannelGains(h2, ga2, gb2), params)
+        assert jamming_sign(p, taus, ChannelGains(h2, ga2, gb2), params).tobytes() == \
+            want.tobytes()
+
+
+def test_channel_batch_matches_the_per_budget_formulas_on_sweep_draws():
+    # the default sweep's first 4096 draws at all 41 SIR points, which
+    # reach the one-ulp nudge on hundreds of links
+    gains = ChannelGains(*_gain_block(0, 0, 4096).T)
+    budgets = [transmit_budget(GAMMA_MW, float(sir_db)) for sir_db in range(-30, 11)]
+    _assert_batch_matches_per_budget_formulas(gains, reference_params(), budgets)

@@ -26,7 +26,7 @@ from ehjam import (
     tau_profile_capacity,
     verify_saddle_point,
 )
-from ehjam import solvers
+from ehjam import model, solvers
 from ehjam.model import TAU_LIMIT
 from ehjam.solvers import _profile_tau
 from helpers import (
@@ -455,27 +455,49 @@ def test_channel_batch_forms_each_fixed_power_profile_once(monkeypatch):
 
 
 def test_channel_batch_reads_the_threshold_line_twice_per_chunk(monkeypatch):
-    # the line at tau = 0 and K = p_threshold(1) are read on first use; every
-    # later budget evaluates tau*K from them
+    # K = p_threshold(1) is read on first use, then the line at tau = 0, as
+    # this chunk has a K = inf lane (gb2 == 0); every later budget, NE's
+    # jammer sign included, evaluates tau*K from them
     calls = []
     real = solvers.p_threshold
-    monkeypatch.setattr(solvers, "p_threshold", lambda *a: calls.append(a[0]) or real(*a))
+    counted = lambda *a: calls.append(a[0]) or real(*a)
+    monkeypatch.setattr(solvers, "p_threshold", counted)
+    monkeypatch.setattr(model, "p_threshold", counted)  # what jamming_sign reads
     batch = ChannelBatch(ChannelGains(np.array([1.0, 0.3, 1.0]), np.array([1.0, 2.0, 1.0]),
                                       np.array([0.2, 1.5, 0.0])), reference_params())
     for sir_db in (-30.0, 0.0, 10.0):
         p_max = params_at_sir(sir_db).p_max
         batch.ne(p_max)
         batch.nj(p_max)
-    assert calls == [0.0, 1.0]
+    assert calls == [1.0, 0.0]
 
 
-def test_solve_nj_reads_the_threshold_line_at_zero_and_one(monkeypatch):
-    # one call at tau = 0 and one for K; the kink's threshold is tau*K
+def test_channel_batch_ne_never_solves_the_threshold_profile(monkeypatch):
+    # t_hat is nj's alone: a full-power solve, scalar or batched, leaves it unsolved
+    profiles = []
+    real = solvers._profile_tau
+    monkeypatch.setattr(solvers, "_profile_tau",
+                        lambda profile, *a: profiles.append(profile) or real(profile, *a))
+    batch = ChannelBatch(ChannelGains(np.array([1.0, 0.3, 1.0]), np.array([1.0, 2.0, 1.0]),
+                                      np.array([0.2, 1.5, 0.0])), reference_params())
+    for sir_db in (-30.0, 0.0, 10.0):
+        batch.ne(params_at_sir(sir_db).p_max)
+    solve_ne(ChannelGains(1.0, 1.0, 0.2), reference_params())
+    assert profiles and not any(isinstance(p, OnThreshold) for p in profiles)
+    batch.nj(reference_params().p_max)
+    assert isinstance(profiles[-1], OnThreshold)
+
+
+@pytest.mark.parametrize("gb2, reads", [(0.2, [1.0]), (0.0, [1.0, 0.0]), (1e-310, [1.0, 0.0])],
+                         ids=["finite-k", "unreached", "k-overflows"])
+def test_solve_nj_reads_the_line_at_zero_only_where_k_is_unbounded(monkeypatch, gb2, reads):
+    # one call for K; the kink's threshold is tau*K, except where K = inf
+    # (gb2 == 0, or K overflows), whose tau = 0 lanes read p_threshold(0)
     calls = []
     real = solvers.p_threshold
     monkeypatch.setattr(solvers, "p_threshold", lambda *a: calls.append(a[0]) or real(*a))
-    solve_nj(ChannelGains(1.0, 1.0, 0.2), params_at_sir(10.0))
-    assert calls == [0.0, 1.0]
+    solve_nj(ChannelGains(1.0, 1.0, gb2), params_at_sir(10.0))
+    assert calls == reads
 
 
 def test_solve_nj_settles_a_kink_below_p_in_one_ulp_step(monkeypatch):
@@ -492,7 +514,7 @@ def test_solve_nj_settles_a_kink_below_p_in_one_ulp_step(monkeypatch):
     monkeypatch.setattr(solvers, "p_threshold", lambda *a: calls.append(1) or real(*a))
     res = solve_nj(gains, params)
     monkeypatch.undo()
-    assert len(calls) == 2  # the line at tau = 0 and K; fl(P/K)*K is read from K
+    assert len(calls) == 1  # K alone, which is finite; fl(P/K)*K is read from K
     legit = res.profile.legit
     assert res.regime is SolutionRegime.NJ_CASE_B_CANDIDATE1
     assert legit.p == p_max
