@@ -9,7 +9,8 @@ headers), never inside the math.
 
 All functions here are pure and array-native: gains, powers and tau may be
 numpy arrays that broadcast elementwise, and scalar arguments are the 0-d
-case, returned as floats. jamming_sign is the jammer's best response.
+case, returned as floats. jamming_sign is the jammer's best response, read
+from ThresholdLine, which holds a batch's neutralization threshold.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ __all__ = [
     "NeutralizationInfeasible",
     "StrategyProfile",
     "SystemParams",
+    "ThresholdLine",
     "capacity",
     "db_to_linear",
     "jamming_sign",
-    "jamming_sign_from_threshold",
     "linear_to_db",
     "log1p_snr",
     "neutralization_feasible",
@@ -212,43 +213,87 @@ def capacity(p, tau, gamma, gains: ChannelGains, params: SystemParams):
 def neutralization_feasible(gains: ChannelGains, params: SystemParams):
     """True where ga2*n_b > gb2*n_a: the harvesting link beats the jamming
     link, elementwise. Exactly, that is K > 0 when zeta > 0; rounded, a
-    feasible link may read K = 0 and an infeasible one K > 0, so ChannelBatch
+    feasible link may read K = 0 and an infeasible one K > 0, so ThresholdLine
     decides feasibility by this test, not by K's sign."""
     return gains.ga2 * params.n_b > gains.gb2 * params.n_a
 
 
+class ThresholdLine:
+    """The neutralization threshold of an array of links (0-d for scalar
+    gains), the line p_th(tau) = tau*K in the EH fraction, built once per
+    batch: at and sign read it at any tau without forming K again. Both are
+    unchecked; p_threshold and jamming_sign are their checked one-shot calls.
+
+    The one place K = zeta*(ga2*n_b/gb2 - n_a), 0 when zeta == 0, is formed.
+    Where X = ga2*n_b/gb2 overflows but zeta > 0, K is formed from logarithms
+    as zeta*X*(1 - n_a/X), so a tiny zeta can bring it back into range.
+    Unbounded rule: +inf at every tau where gb2 == 0 (the jammer cannot reach
+    the receiver, so every power neutralizes, zeta == 0 included), +inf for
+    tau > 0 where even that K overflows, and +0 at tau == 0 otherwise.
+    feasible is neutralization_feasible, evaluated once; sign reads the
+    infeasible and gb2 == 0 lanes by flat index, formed once per result shape."""
+
+    def __init__(self, gains: ChannelGains, params: SystemParams):
+        self.gains, self.params = gains, params
+        gb2 = np.asarray(gains.gb2, dtype=float)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            k = (gains.ga2 * params.n_b / gb2 - params.n_a) * params.zeta
+            huge = np.isinf(k) & (gb2 > 0.0) & (params.zeta > 0.0)
+            if huge.any():  # X = ga2*n_b/gb2 overflows, zeta*X may not
+                log_x = np.log(gains.ga2) + math.log(params.n_b) - np.log(gb2)
+                zeta_x = np.exp(math.log(params.zeta) + log_x)
+                k = np.where(huge, zeta_x * (1.0 - params.n_a / np.exp(log_x)), k)
+        self._unreached = gb2 == 0.0
+        self._origin = np.where(self._unreached, math.inf, 0.0)  # the line at tau = 0
+        self.k = np.where(self._unreached, math.inf, np.where(params.zeta == 0.0, 0.0, k))
+        self.feasible = np.asarray(neutralization_feasible(gains, params))
+        self._shape = np.broadcast(gains.h2, gains.ga2, gains.gb2).shape
+        self._lanes_by_shape = {}
+
+    def _lanes(self, shape):
+        """(gb2 == 0 lanes, infeasible lanes), flat indices into a result of this shape."""
+        if shape not in self._lanes_by_shape:
+            flat = lambda mask: np.broadcast_to(mask, shape).ravel().nonzero()[0]
+            self._lanes_by_shape[shape] = flat(self._unreached), flat(~self.feasible)
+        return self._lanes_by_shape[shape]
+
+    @property
+    def infeasible(self):
+        """Flat indices of the infeasible lanes of a result of the gains' shape."""
+        return self._lanes(self._shape)[1]
+
+    def at(self, tau):
+        """p_th(tau), unchecked: tau in [0, 1], broadcast against the gains'
+        ga2 and gb2."""
+        with np.errstate(invalid="ignore"):  # 0*inf at tau == 0, not taken
+            line = np.where(tau == 0.0, self._origin, tau * self.k)
+        return float(line) if line.ndim == 0 else line
+
+    def sign(self, p, tau):
+        """jamming_sign's rule, unchecked: p >= 0 and tau in [0, 1) broadcast
+        against the gains' ga2 and gb2. It is the sign of p_th(tau) - p, except
+        on the gb2 == 0 lanes, which read that of tau*zeta*ga2, and on the
+        links that cannot be neutralized, which read -1."""
+        sign = np.asarray(np.sign(self.at(tau) - p))  # a 0-d sign is a numpy scalar
+        unreached, infeasible = self._lanes(sign.shape)
+        flat = sign.reshape(-1)  # a view: sign is a new array
+        if unreached.size:
+            tau_u, ga2_u = (np.broadcast_to(x, sign.shape).flat[unreached]
+                            for x in (tau, self.gains.ga2))
+            flat[unreached] = np.sign(tau_u * self.params.zeta * ga2_u)
+        flat[infeasible] = -1.0
+        return float(sign) if sign.ndim == 0 else sign
+
+
 def p_threshold(tau, gains: ChannelGains, params: SystemParams):
     """Largest transmit power at which more jamming still helps the link,
-    elementwise over tau in [0, 1] and gain arrays.
-
-    The line ``tau * K`` in the EH fraction, so p_threshold(1) is the slope
-    (mW per unit tau) ``K = (ga2*n_b/gb2 - n_a) * zeta``, 0 when zeta == 0;
-    this is the one place K and that product are formed. Where ga2*n_b/gb2 =
-    X overflows but zeta > 0, K is formed from logarithms as zeta*X*(1 -
-    n_a/X), so a tiny zeta can bring it back into range. Unbounded rule: +inf
-    at every tau where gb2 == 0 (the jammer cannot reach the receiver, so
-    every power neutralizes, zeta == 0 included), +inf for tau > 0 where even
-    that K overflows, and 0 at tau == 0 otherwise.
-    """
+    elementwise over tau in [0, 1] and gain arrays: ThresholdLine's line
+    tau*K, so p_threshold(1) is its slope K (mW per unit tau), +inf where gb2
+    == 0 and 0 at tau == 0 otherwise."""
     t = np.asarray(tau, dtype=float)
     if not ((t >= 0.0) & (t <= 1.0)).all():
         raise ValueError("tau must lie in [0, 1]")
-    gb2 = np.asarray(gains.gb2, dtype=float)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        k = (gains.ga2 * params.n_b / gb2 - params.n_a) * params.zeta
-        huge = np.isinf(k) & (gb2 > 0.0) & (params.zeta > 0.0)
-        if huge.any():  # X = ga2*n_b/gb2 overflows, zeta*X may not
-            log_x = np.log(gains.ga2) + math.log(params.n_b) - np.log(gb2)
-            zeta_x = np.exp(math.log(params.zeta) + log_x)
-            k = np.where(huge, zeta_x * (1.0 - params.n_a / np.exp(log_x)), k)
-        p = t * np.where(params.zeta == 0.0, 0.0, k)
-    p = np.where(gb2 == 0.0, math.inf, np.where(t == 0.0, 0.0, p))
-    return float(p) if p.ndim == 0 else p
-
-
-def _check_strategy_tau(tau):
-    if not (((t := np.asarray(tau)) >= 0.0) & (t < 1.0)).all():
-        raise ValueError("tau must lie in [0, 1)")
+    return ThresholdLine(gains, params).at(t)
 
 
 def jamming_sign(p, tau, gains: ChannelGains, params: SystemParams):
@@ -262,26 +307,6 @@ def jamming_sign(p, tau, gains: ChannelGains, params: SystemParams):
     p_threshold - p when gb2 > 0 and of tau*zeta*ga2 when gb2 == 0. Links
     that cannot be neutralized read -1 throughout, flat cases included.
     """
-    _check_strategy_tau(tau)  # ahead of p_threshold, whose domain is [0, 1]
-    threshold = p_threshold(tau, gains, params)
-    shape = np.broadcast_shapes(np.shape(p), np.shape(threshold))
-    lanes = lambda mask: np.flatnonzero(np.broadcast_to(mask, shape))
-    return jamming_sign_from_threshold(
-        p, tau, threshold, lanes(~np.asarray(neutralization_feasible(gains, params))),
-        lanes(np.asarray(gains.gb2) == 0.0), gains, params)
-
-
-def jamming_sign_from_threshold(p, tau, threshold, infeasible, unreached,
-                                gains: ChannelGains, params: SystemParams):
-    """jamming_sign's rule, the one place it is written, with threshold =
-    p_threshold(tau) given, and the lanes that cannot be neutralized
-    (infeasible) and the gb2 == 0 lanes (unreached, the only ones that read
-    tau*zeta*ga2) given as flat indices into the result. ChannelBatch keeps
-    the line and both index sets per chunk, so it forms K at no budget."""
-    _check_strategy_tau(tau)
-    sign = np.asarray(np.sign(threshold - p))  # a 0-d sign is a numpy scalar
-    if unreached.size:
-        lane = lambda x: np.broadcast_to(x, sign.shape).flat[unreached]
-        np.put(sign, unreached, np.sign(lane(tau) * params.zeta * lane(gains.ga2)))
-    np.put(sign, infeasible, -1.0)
-    return float(sign) if sign.ndim == 0 else sign
+    if not (((t := np.asarray(tau)) >= 0.0) & (t < 1.0)).all():
+        raise ValueError("tau must lie in [0, 1)")
+    return ThresholdLine(gains, params).sign(p, tau)

@@ -35,8 +35,8 @@ from .model import (
     NeutralizationInfeasible,
     StrategyProfile,
     SystemParams,
+    ThresholdLine,
     capacity,
-    jamming_sign_from_threshold,
     log1p_snr,
     neutralization_feasible,
     p_threshold,
@@ -296,26 +296,15 @@ class ChannelBatch:
     """Both operating points of an array of channels (0-d for scalar gains) at
     any transmit budget P (params.p_max is not read); feasible marks where the
     jammer can be neutralized. What does not depend on P is kept from first
-    use, so that each budget pays only for what does: the flat indices of the
-    lanes that cannot be neutralized; each tau-profile's beta and s(beta); the
-    threshold line, as K = p_threshold(1) and the flat indices of its K = inf
-    lanes, where tau*K is 0*inf = nan at tau = 0, with p_threshold(0) on those
-    lanes (read only for a batch that has them); the flat indices of the
-    gb2 == 0 lanes, where the jammer's sign is not that of the line minus P;
-    and t_hat, which only nj reads."""
+    use, so that each budget pays only for what does: the ThresholdLine, built
+    here, with K and its lane sets; each tau-profile's beta and s(beta); and
+    t_hat, which only nj reads."""
 
     def __init__(self, gains: ChannelGains, params: SystemParams):
         self.gains, self.params = gains, params
-        self.feasible = np.asarray(neutralization_feasible(gains, params))
-        self._shape = np.broadcast(gains.h2, gains.ga2, gains.gb2).shape
-        self._infeasible = self._lanes(~self.feasible)
+        self._line = ThresholdLine(gains, params)
+        self.feasible = self._line.feasible
         self._taus = {}  # jamming power -> tau(p) of that fixed-power profile
-
-    def _lanes(self, mask):
-        """Flat indices of the lanes where mask, broadcast to the batch, holds."""
-        if np.shape(mask) != self._shape:
-            mask = np.broadcast_to(mask, self._shape)
-        return mask.ravel().nonzero()[0]  # np.flatnonzero, without its call overhead
 
     def _fixed_power_tau(self, p_max, gamma):
         if not 0.0 < p_max < math.inf:
@@ -326,42 +315,16 @@ class ChannelBatch:
         return self._taus[gamma](p_max / snr_scale(gamma))
 
     @cached_property
-    def _line(self):
-        """K, its K = inf lanes, the threshold at tau = 0 on those lanes (read
-        only where there are any) and the gb2 == 0 lanes, all of them K = inf."""
-        gains, params = self.gains, self.params
-        k = p_threshold(1.0, gains, params)
-        unbounded = self._lanes(np.isinf(k))
-        if not unbounded.size:
-            return k, unbounded, None, unbounded
-        at_zero = np.broadcast_to(p_threshold(0.0, gains, params), self._shape)
-        return (k, unbounded, at_zero.flat[unbounded],
-                self._lanes(np.asarray(gains.gb2) == 0.0))
-
-    @cached_property
     def _t_hat(self):
         """The threshold optimum t_hat."""
         return _profile_tau(OnThreshold(), self.gains, self.params)()
-
-    def _threshold_at(self, tau):
-        """p_threshold(tau) for a batch-shaped tau in [0, 1), as tau*K; the
-        K = inf lanes read the cached threshold at tau = 0 where tau = 0."""
-        k, unbounded, at_zero, _ = self._line
-        if not unbounded.size:
-            return tau * k
-        with np.errstate(invalid="ignore"):  # 0*inf, replaced below
-            line = np.asarray(tau * k)  # a 0-d product is a numpy scalar
-        np.put(line, unbounded, np.where(tau.flat[unbounded] == 0.0, at_zero, math.inf))
-        return line
 
     def ne(self, p_max: float) -> NEArrays:
         """Full-power operating point: both budgets spent, tau optimal for them."""
         gains, params, gamma = self.gains, self.params, self.params.gamma_max
         tau = self._fixed_power_tau(p_max, gamma)
         value = capacity(p_max, tau, gamma, gains, params)
-        sign = jamming_sign_from_threshold(p_max, tau, self._threshold_at(tau),
-                                           self._infeasible, self._line[3], gains, params)
-        return NEArrays(tau, value, sign <= 0.0)
+        return NEArrays(tau, value, self._line.sign(p_max, tau) <= 0.0)
 
     def nj(self, p_max: float) -> NJArrays:
         """Neutralizing optimum; infeasible links get value 0 and a zero strategy.
@@ -378,24 +341,25 @@ class ChannelBatch:
         to >= P. A subnormal P/K (t0 = 0 too) is within 2^-1075 of t0, so t1*K >
         P; a subnormal t1*K misses P by under half its spacing. A t_tilde > t0
         is >= t1, and rounding is monotone. Only those short lanes are stepped."""
-        gains, params, feasible = self.gains, self.params, self.feasible
+        line, feasible = self._line, self.feasible
         t_tilde = self._fixed_power_tau(p_max, 0.0)
         with np.errstate(divide="ignore", over="ignore"):  # an inf kink is exact
-            p_inv = np.divide(p_max, self._line[0])
+            p_inv = np.divide(p_max, line.k)
         t_hat = self._t_hat
         on_threshold = t_hat < p_inv
         off = ~on_threshold
         beyond = off & (t_tilde > p_inv)
         tau = np.where(on_threshold, t_hat, np.maximum(t_tilde, p_inv))
-        np.put(tau, self._infeasible, 0.0)
-        threshold = self._threshold_at(tau)
-        short = self._lanes(feasible & off & (threshold < p_max) & (tau < TAU_LIMIT))
+        infeasible = line.infeasible
+        tau.reshape(-1)[infeasible] = 0.0  # a view: tau is a new array
+        threshold = line.at(tau)
+        short = np.flatnonzero(feasible & off & (threshold < p_max) & (tau < TAU_LIMIT))
         p = np.asarray(np.minimum(threshold, p_max))  # a 0-d minimum is a numpy scalar
-        np.put(p, self._infeasible, 0.0)
+        p.reshape(-1)[infeasible] = 0.0
         if short.size:
             np.put(tau, short, np.nextafter(tau.flat[short], 1.0))
             np.put(p, short, p_max)
-        value = capacity(p, tau, 0.0, gains, params)
+        value = capacity(p, tau, 0.0, self.gains, self.params)
         regime = (2 - (p_inv > 1.0) + beyond) * feasible  # 0 infeasible, 1 case a, 2 or 3
         return NJArrays(p, tau, value, regime)
 

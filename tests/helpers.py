@@ -99,20 +99,20 @@ def infeasible_instances(seed: int, count: int, zeta: float = ZETA):
 
 
 @contextmanager
-def bounded_p_threshold(limit: int = 2):
-    """Patch solvers.p_threshold inside the block to raise past limit calls:
-    ChannelBatch reads K = p_threshold(1) once, the threshold line at tau = 0
-    at most once, and none per budget, its one-ulp nudge included."""
-    calls, real = [], solvers.p_threshold
+def bounded_threshold_lines(limit: int = 1):
+    """Patch solvers.ThresholdLine inside the block to raise past limit
+    constructions: ChannelBatch builds one line per batch and reads it at
+    every budget, its one-ulp nudge included, without building another."""
+    calls, real = [], solvers.ThresholdLine
 
     def counted(*args):
         calls.append(args)
         if len(calls) > limit:
-            raise AssertionError(f"more than {limit} p_threshold calls")
+            raise AssertionError(f"more than {limit} threshold lines")
         return real(*args)
 
-    solvers.p_threshold = counted
+    solvers.ThresholdLine = counted
     try:
         yield
     finally:
-        solvers.p_threshold = real
+        solvers.ThresholdLine = real

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ehjam import ChannelGains, solve_ne, solve_nj
 from ehjam.cli import run
-from helpers import bounded_p_threshold, params_at_sir
+from helpers import bounded_threshold_lines, params_at_sir
 
 
 def _parse_kv(out: str) -> dict:
@@ -115,11 +115,11 @@ def test_huge_gains_finite_without_warnings(capsys, argv, regime, capacity_bpcu)
     (9.688935366430316e299, 5.050715603424172),  # once read the kink as 0/0
 ])
 def test_nj_at_subnormal_budgets_finishes_finite(capsys, h2, ga2):
-    # K and P round to a few ulps of 5e-324: reading K (and the line at
-    # tau = 0, if K = inf) once, with at most one ulp nudge, must settle the kink
+    # K and P round to a few ulps of 5e-324: one threshold line, with at most
+    # one ulp nudge, must settle the kink
     argv = ["nj", "--zeta", "5e-324", "--p-mw", "5e-324", "--h2", repr(h2),
             "--ga2", repr(ga2), "--gb2", "1"]
-    with warnings.catch_warnings(), bounded_p_threshold(2):
+    with warnings.catch_warnings(), bounded_threshold_lines(1):
         warnings.simplefilter("error")
         assert run(argv) == 0
     capacity_bpcu = float(_parse_kv(capsys.readouterr().out)["capacity_bpcu"])
@@ -127,12 +127,11 @@ def test_nj_at_subnormal_budgets_finishes_finite(capsys, h2, ga2):
 
 
 def test_sweep_at_subnormal_zeta_and_jamming_budget_finishes(tmp_path, capsys):
-    # one chunk at 41 SIR points: the threshold line is read at most at tau = 1
-    # and 0, once, and no SIR point reads it again; the dominance check may still
-    # reject these deep-subnormal sums
+    # one chunk at 41 SIR points: one threshold line, and no SIR point builds
+    # another; the dominance check may still reject these deep-subnormal sums
     argv = ["sweep", "--zeta", "1e-320", "--gamma-mw", "1e-318", "--draws", "200",
             "--out", str(tmp_path / "s.csv")]
-    with bounded_p_threshold(2):
+    with bounded_threshold_lines(1):
         assert run(argv) in (0, 1)
 
 

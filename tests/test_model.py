@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ehjam import (
+    ChannelBatch,
     ChannelGains,
     FixedPower,
     LegitStrategy,
@@ -382,6 +383,24 @@ def test_p_threshold_array_matches_scalar_calls():
     assert k == 2 * half == p_threshold(1.0, gains, params)
     with pytest.raises(ValueError):
         p_threshold(np.array([0.5, np.nextafter(1.0, 2.0)]), gains, params)
+
+
+def test_threshold_at_zero_is_plus_zero_where_k_is_negative():
+    # links that cannot be neutralized have K < 0, where tau*K reads -0.0 at
+    # tau = 0; the threshold there is +0.0, for a scalar and an array tau,
+    # and the neutralizing solve gives p = tau = +0.0 on those links
+    params = SystemParams(0.1, 0.2, 1.0, 10.0, 0.8)
+    gains = ChannelGains(1.0, 0.01, 1.0)
+    assert p_threshold(1.0, gains, params) < 0.0
+    plus_zero = np.zeros(2).tobytes()
+    assert np.float64(p_threshold(0.0, gains, params)).tobytes() == plus_zero[:8]
+    assert p_threshold(np.zeros(2), gains, params).tobytes() == plus_zero
+    batch = ChannelGains(np.array([1.0, 0.5]), np.array([0.01, 0.02]), np.array([1.0, 2.0]))
+    assert np.all(p_threshold(1.0, batch, params) < 0.0)
+    assert p_threshold(np.zeros(2), batch, params).tobytes() == plus_zero
+    assert p_threshold(0.0, batch, params).tobytes() == plus_zero
+    nj = ChannelBatch(batch, params).nj(params.p_max)
+    assert nj.p.tobytes() == nj.tau.tobytes() == plus_zero
 
 
 def test_p_threshold_unbounded_at_zero_efficiency_without_interference():

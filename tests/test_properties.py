@@ -31,7 +31,7 @@ from ehjam import (
 )
 from ehjam.experiments import _gain_block
 from ehjam.solvers import _optimal_snr, _optimal_tau, _profile_tau, _tau_derivative
-from helpers import GAMMA_MW, bounded_p_threshold, reference_params
+from helpers import GAMMA_MW, bounded_threshold_lines, reference_params
 
 # deterministic examples, no example database: the suite reruns identically
 _SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -174,12 +174,11 @@ _DEEP_SUBNORMAL = st.one_of(st.just(5e-324), _log_uniform(-323.0, -300.0))
 )
 def test_neutralizing_solve_at_subnormal_budgets(draws, zeta, p_max):
     # K and P/K round coarsely here: the kink still costs at most one ulp
-    # nudge and at most two threshold reads (K, and tau = 0 where K = inf),
-    # and no 0/0 turns it into nan
+    # nudge and one threshold line, and no 0/0 turns it into nan
     params = SystemParams(n_a=0.1, n_b=0.2, p_max=p_max, gamma_max=10.0, zeta=zeta)
     for draw in draws:
         gains = ChannelGains(*draw)
-        with warnings.catch_warnings(), bounded_p_threshold(2):
+        with warnings.catch_warnings(), bounded_threshold_lines(1):
             warnings.simplefilter("error", RuntimeWarning)
             res = solve_nj(gains, params)
         legit = res.profile.legit
@@ -195,7 +194,7 @@ def _nj_nudging_until_reached(batch, p_max):
     (an error after 64 passes rather than a hang)."""
     gains, params, feasible = batch.gains, batch.params, batch.feasible
     t_tilde = batch._fixed_power_tau(p_max, 0.0)
-    k, t_hat = batch._line[0], batch._t_hat
+    k, t_hat = p_threshold(1.0, gains, params), batch._t_hat
     with np.errstate(divide="ignore", over="ignore"):
         p_inv = np.divide(p_max, k)
     on_threshold = t_hat < p_inv
@@ -249,7 +248,7 @@ def test_one_ulp_nudge_matches_nudging_until_reached_on_sweep_draws():
     for sir_db in range(-30, 11):
         p_max = transmit_budget(GAMMA_MW, float(sir_db))
         tau = _assert_nj_bits_equal(batch, p_max)
-        kink = np.divide(p_max, batch._line[0])
+        kink = np.divide(p_max, p_threshold(1.0, gains, reference_params()))
         nudged += int(np.sum(batch.feasible & (tau == np.nextafter(kink, 1.0))))
     assert nudged >= 100
 

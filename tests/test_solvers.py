@@ -454,22 +454,30 @@ def test_channel_batch_forms_each_fixed_power_profile_once(monkeypatch):
     assert sorted(calls) == [0.0, reference_params().gamma_max]
 
 
-def test_channel_batch_reads_the_threshold_line_twice_per_chunk(monkeypatch):
-    # K = p_threshold(1) is read on first use, then the line at tau = 0, as
-    # this chunk has a K = inf lane (gb2 == 0); every later budget, NE's
-    # jammer sign included, evaluates tau*K from them
-    calls = []
-    real = solvers.p_threshold
-    counted = lambda *a: calls.append(a[0]) or real(*a)
-    monkeypatch.setattr(solvers, "p_threshold", counted)
-    monkeypatch.setattr(model, "p_threshold", counted)  # what jamming_sign reads
+def _count_threshold_lines(monkeypatch):
+    """Count ThresholdLine constructions, ChannelBatch's and those of the
+    checked one-shot calls (p_threshold, jamming_sign) alike."""
+    lines = []
+    real = model.ThresholdLine
+    counted = lambda *a: lines.append(a) or real(*a)
+    monkeypatch.setattr(solvers, "ThresholdLine", counted)
+    monkeypatch.setattr(model, "ThresholdLine", counted)
+    return lines
+
+
+def test_channel_batch_builds_one_threshold_line_per_chunk(monkeypatch):
+    # the line is built with the batch; every budget, NE's jammer sign and
+    # NJ's kink included, reads it without building another, also for a
+    # chunk with a K = inf lane (gb2 == 0)
+    lines = _count_threshold_lines(monkeypatch)
     batch = ChannelBatch(ChannelGains(np.array([1.0, 0.3, 1.0]), np.array([1.0, 2.0, 1.0]),
                                       np.array([0.2, 1.5, 0.0])), reference_params())
+    assert len(lines) == 1
     for sir_db in (-30.0, 0.0, 10.0):
         p_max = params_at_sir(sir_db).p_max
         batch.ne(p_max)
         batch.nj(p_max)
-    assert calls == [1.0, 0.0]
+    assert len(lines) == 1
 
 
 def test_channel_batch_ne_never_solves_the_threshold_profile(monkeypatch):
@@ -488,16 +496,14 @@ def test_channel_batch_ne_never_solves_the_threshold_profile(monkeypatch):
     assert isinstance(profiles[-1], OnThreshold)
 
 
-@pytest.mark.parametrize("gb2, reads", [(0.2, [1.0]), (0.0, [1.0, 0.0]), (1e-310, [1.0, 0.0])],
-                         ids=["finite-k", "unreached", "k-overflows"])
-def test_solve_nj_reads_the_line_at_zero_only_where_k_is_unbounded(monkeypatch, gb2, reads):
-    # one call for K; the kink's threshold is tau*K, except where K = inf
-    # (gb2 == 0, or K overflows), whose tau = 0 lanes read p_threshold(0)
-    calls = []
-    real = solvers.p_threshold
-    monkeypatch.setattr(solvers, "p_threshold", lambda *a: calls.append(a[0]) or real(*a))
+@pytest.mark.parametrize("gb2", [0.2, 0.0, 1e-310], ids=["finite-k", "unreached", "k-overflows"])
+def test_solve_nj_builds_one_threshold_line(monkeypatch, gb2):
+    # one line, whose K gives the kink and whose value at tau = 0 covers the
+    # K = inf links (gb2 == 0, or K overflows); no p_threshold call
+    lines = _count_threshold_lines(monkeypatch)
+    monkeypatch.setattr(solvers, "p_threshold", None)
     solve_nj(ChannelGains(1.0, 1.0, gb2), params_at_sir(10.0))
-    assert calls == reads
+    assert len(lines) == 1
 
 
 def test_solve_nj_settles_a_kink_below_p_in_one_ulp_step(monkeypatch):
@@ -509,12 +515,10 @@ def test_solve_nj_settles_a_kink_below_p_in_one_ulp_step(monkeypatch):
     p_max = params.p_max
     k = p_threshold(1.0, gains, params)
     assert p_threshold(p_max / k, gains, params) < p_max
-    calls = []
-    real = solvers.p_threshold
-    monkeypatch.setattr(solvers, "p_threshold", lambda *a: calls.append(1) or real(*a))
+    lines = _count_threshold_lines(monkeypatch)
     res = solve_nj(gains, params)
     monkeypatch.undo()
-    assert len(calls) == 1  # K alone, which is finite; fl(P/K)*K is read from K
+    assert len(lines) == 1  # fl(P/K)*K and the stepped tau are read from its K
     legit = res.profile.legit
     assert res.regime is SolutionRegime.NJ_CASE_B_CANDIDATE1
     assert legit.p == p_max
