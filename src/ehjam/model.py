@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -230,8 +231,8 @@ class ThresholdLine:
     Unbounded rule: +inf at every tau where gb2 == 0 (the jammer cannot reach
     the receiver, so every power neutralizes, zeta == 0 included), +inf for
     tau > 0 where even that K overflows, and +0 at tau == 0 otherwise.
-    feasible is neutralization_feasible, evaluated once; sign reads the
-    infeasible and gb2 == 0 lanes by flat index, formed once per result shape."""
+    feasible (neutralization_feasible) and the batch's infeasible and gb2 ==
+    0 lanes, as flat indices, are each formed once, on first use."""
 
     def __init__(self, gains: ChannelGains, params: SystemParams):
         self.gains, self.params = gains, params
@@ -246,21 +247,25 @@ class ThresholdLine:
         self._unreached = gb2 == 0.0
         self._origin = np.where(self._unreached, math.inf, 0.0)  # the line at tau = 0
         self.k = np.where(self._unreached, math.inf, np.where(params.zeta == 0.0, 0.0, k))
-        self.feasible = np.asarray(neutralization_feasible(gains, params))
         self._shape = np.broadcast(gains.h2, gains.ga2, gains.gb2).shape
-        self._lanes_by_shape = {}
+
+    @cached_property
+    def feasible(self):
+        return np.asarray(neutralization_feasible(self.gains, self.params))
 
     def _lanes(self, shape):
-        """(gb2 == 0 lanes, infeasible lanes), flat indices into a result of this shape."""
-        if shape not in self._lanes_by_shape:
-            flat = lambda mask: np.broadcast_to(mask, shape).ravel().nonzero()[0]
-            self._lanes_by_shape[shape] = flat(self._unreached), flat(~self.feasible)
-        return self._lanes_by_shape[shape]
+        """(gb2 == 0, infeasible) lanes: C-order flat indices into this shape."""
+        flat = lambda mask: np.broadcast_to(mask, shape).ravel().nonzero()[0]
+        return flat(self._unreached), flat(~self.feasible)
+
+    @cached_property
+    def _batch_lanes(self):  # h2, ga2 and gb2 broadcast, also where K is 0-d
+        return self._lanes(self._shape)
 
     @property
     def infeasible(self):
-        """Flat indices of the infeasible lanes of a result of the gains' shape."""
-        return self._lanes(self._shape)[1]
+        """Flat indices of the infeasible lanes of a batch-shaped result."""
+        return self._batch_lanes[1]
 
     def at(self, tau):
         """p_th(tau), unchecked: tau in [0, 1], broadcast against the gains'
@@ -274,9 +279,11 @@ class ThresholdLine:
         against the gains' ga2 and gb2. It is the sign of p_th(tau) - p, except
         on the gb2 == 0 lanes, which read that of tau*zeta*ga2, and on the
         links that cannot be neutralized, which read -1."""
-        sign = np.asarray(np.sign(self.at(tau) - p))  # a 0-d sign is a numpy scalar
-        unreached, infeasible = self._lanes(sign.shape)
-        flat = sign.reshape(-1)  # a view: sign is a new array
+        # C order, so that reshape(-1) is a view the flat lane indices address
+        sign = np.asarray(np.sign(self.at(tau) - p), order="C")
+        unreached, infeasible = (self._batch_lanes if sign.shape == self._shape
+                                 else self._lanes(sign.shape))
+        flat = sign.reshape(-1)
         if unreached.size:
             tau_u, ga2_u = (np.broadcast_to(x, sign.shape).flat[unreached]
                             for x in (tau, self.gains.ga2))

@@ -349,12 +349,13 @@ class ChannelBatch:
         on_threshold = t_hat < p_inv
         off = ~on_threshold
         beyond = off & (t_tilde > p_inv)
-        tau = np.where(on_threshold, t_hat, np.maximum(t_tilde, p_inv))
+        # new, C-ordered tau and p: reshape(-1) is a view the lane indices address
+        tau = np.asarray(np.where(on_threshold, t_hat, np.maximum(t_tilde, p_inv)), order="C")
         infeasible = line.infeasible
-        tau.reshape(-1)[infeasible] = 0.0  # a view: tau is a new array
+        tau.reshape(-1)[infeasible] = 0.0
         threshold = line.at(tau)
         short = np.flatnonzero(feasible & off & (threshold < p_max) & (tau < TAU_LIMIT))
-        p = np.asarray(np.minimum(threshold, p_max))  # a 0-d minimum is a numpy scalar
+        p = np.asarray(np.minimum(threshold, p_max), order="C")  # 0-d: a numpy scalar
         p.reshape(-1)[infeasible] = 0.0
         if short.size:
             np.put(tau, short, np.nextafter(tau.flat[short], 1.0))

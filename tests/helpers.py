@@ -15,7 +15,7 @@ from ehjam import (
     solve_ne,
     transmit_budget,
 )
-from ehjam import solvers
+from ehjam import model, solvers
 
 # reference operating point used throughout: noise at -10/-7 dBm, jamming
 # budget 10 dBm, harvesting efficiency 0.8
@@ -100,10 +100,12 @@ def infeasible_instances(seed: int, count: int, zeta: float = ZETA):
 
 @contextmanager
 def bounded_threshold_lines(limit: int = 1):
-    """Patch solvers.ThresholdLine inside the block to raise past limit
-    constructions: ChannelBatch builds one line per batch and reads it at
-    every budget, its one-ulp nudge included, without building another."""
-    calls, real = [], solvers.ThresholdLine
+    """Patch ThresholdLine in solvers and in model inside the block to raise
+    past limit constructions, ChannelBatch's and those of the checked one-shot
+    calls (p_threshold, jamming_sign) alike: ChannelBatch builds one line per
+    batch and reads it at every budget, its one-ulp nudge included, without
+    building another or calling those."""
+    calls, real = [], model.ThresholdLine
 
     def counted(*args):
         calls.append(args)
@@ -111,8 +113,8 @@ def bounded_threshold_lines(limit: int = 1):
             raise AssertionError(f"more than {limit} threshold lines")
         return real(*args)
 
-    solvers.ThresholdLine = counted
+    solvers.ThresholdLine = model.ThresholdLine = counted
     try:
         yield
     finally:
-        solvers.ThresholdLine = real
+        solvers.ThresholdLine = model.ThresholdLine = real

@@ -403,6 +403,37 @@ def test_threshold_at_zero_is_plus_zero_where_k_is_negative():
     assert nj.p.tobytes() == nj.tau.tobytes() == plus_zero
 
 
+def test_lane_rules_hold_for_any_memory_layout():
+    # the gb2 == 0 and infeasible lanes are addressed by C-order flat index;
+    # Fortran-ordered 2-D gains, tau and p give the same bytes as their
+    # C-ordered copies
+    rng = np.random.default_rng(7)
+    params = SystemParams(0.1, 0.2, 1.0, 10.0, 0.8)
+    h2, ga2, gb2 = (rng.lognormal(0.0, 2.0, (4, 6)) for _ in range(3))
+    gb2[0, ::2] = 0.0
+    ga2[1] = 1e-3  # K < 0: these links cannot be neutralized
+    tau = rng.uniform(0.0, 0.9, (4, 6))
+    tau[:, 0] = 0.0
+    p = rng.uniform(0.0, 2.0, (4, 6))
+    fortran = np.asfortranarray
+    gains_c = ChannelGains(h2, ga2, gb2)
+    gains_f = ChannelGains(*map(fortran, (h2, ga2, gb2)))
+    assert not np.all(neutralization_feasible(gains_c, params))
+    same = lambda a, b: (np.shape(a) == np.shape(b) and np.asarray(a).dtype == np.asarray(b).dtype
+                         and np.asarray(a).tobytes() == np.asarray(b).tobytes())
+    p_f, tau_f = fortran(p), fortran(tau)
+    for p_, tau_ in ((0.0, 0.0), (0.5, tau_f), (p_f, 0.3), (p_f, tau_f)):
+        p_c, tau_c = np.array(p_, order="C"), np.array(tau_, order="C")
+        sign_c = jamming_sign(p_c, tau_c, gains_c, params)
+        assert same(jamming_sign(p_, tau_, gains_f, params), sign_c)
+        assert same(p_threshold(tau_, gains_f, params), p_threshold(tau_c, gains_c, params))
+    batch_c, batch_f = ChannelBatch(gains_c, params), ChannelBatch(gains_f, params)
+    for p_max in (1e-3, 1.0, 1e3):
+        for solve in ("ne", "nj"):
+            c, f = getattr(batch_c, solve)(p_max), getattr(batch_f, solve)(p_max)
+            assert all(same(a, b) for a, b in zip(c, f))
+
+
 def test_p_threshold_unbounded_at_zero_efficiency_without_interference():
     # zeta == 0 with gb2 == 0: jamming cannot change capacity at all, so every
     # power neutralizes; the threshold is +inf like jamming_sign's flat answer
