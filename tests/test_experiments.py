@@ -1,7 +1,10 @@
+import concurrent.futures
 import math
+import os
 import re
 import struct
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -399,6 +402,94 @@ def test_sweep_memory_is_flat_in_draws():
             tracemalloc.stop()
 
     assert peak(400_000) <= 1.2 * peak(100_000)
+
+
+def _set_usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+
+
+def _record_pools(monkeypatch):
+    """The max_workers of each thread pool a sweep starts from now on."""
+    pools = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    return pools
+
+
+@pytest.mark.parametrize("chunk, draws", [
+    (None, 1), (None, experiments._CHUNK_DRAWS), (None, experiments._CHUNK_DRAWS + 1),
+    (None, 70_001), (7, 1_001)])
+def test_sweep_is_the_same_on_one_two_and_four_cpus(tmp_path, monkeypatch, chunk, draws):
+    if chunk is not None:
+        monkeypatch.setattr(experiments, "_CHUNK_DRAWS", chunk)
+    chunks = math.ceil(draws / experiments._CHUNK_DRAWS)
+    pools = _record_pools(monkeypatch)
+    cfg = SweepConfig(-30.0, 10.0, 20.0, reference_params(), mc_draws=draws, rng_seed=3)
+    runs = {}
+    for cpus in ({0}, {0, 1}, {0, 1, 2, 3}):
+        _set_usable_cpus(monkeypatch, cpus)
+        pools.clear()
+        records = sir_sweep(cfg)
+        path = tmp_path / f"{len(cpus)}.csv"
+        write_csv(records, path, cfg)
+        runs[len(cpus)] = records, path.read_bytes()
+        workers = min(2, len(cpus), chunks)
+        assert pools == ([] if workers == 1 else [workers])
+    serial_records, serial_csv = runs[1]
+    for records, csv in runs.values():
+        assert records == serial_records
+        assert csv == serial_csv
+        assert ([r.nj_feasible_fraction for r in records]
+                == [r.nj_feasible_fraction for r in serial_records])
+
+
+def test_each_chunk_sees_the_callers_numpy_error_state(monkeypatch):
+    monkeypatch.setattr(experiments, "_CHUNK_DRAWS", 7)
+    _set_usable_cpus(monkeypatch, {0, 1})
+    seen, real = [], experiments._gain_block
+
+    def gain_block(*args):
+        seen.append((np.geterr()["under"], threading.get_ident()))
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "_gain_block", gain_block)
+    with np.errstate(under="raise"):
+        sir_sweep(SweepConfig(-30.0, 10.0, 20.0, reference_params(), mc_draws=21))
+    assert len(seen) == 3
+    main = threading.get_ident()
+    assert all(under == "raise" and ident != main for under, ident in seen)
+
+
+def test_a_failing_chunk_raises_alike_and_no_thread_outlives_a_sweep(monkeypatch):
+    monkeypatch.setattr(experiments, "_CHUNK_DRAWS", 7)
+    cfg = SweepConfig(-30.0, 10.0, 20.0, reference_params(), mc_draws=21, rng_seed=4)
+    second_chunk = _gain_block(cfg.rng_seed, 7, 1)[0, 0]
+    real_nj, fail = ChannelBatch.nj, [True]
+
+    def nj(self, p_max):
+        if fail[0] and self.gains.h2[0] == second_chunk:
+            raise RuntimeError("the second chunk failed")
+        return real_nj(self, p_max)
+
+    monkeypatch.setattr(ChannelBatch, "nj", nj)
+    errors = []
+    for cpus in ({0}, {0, 1}):
+        _set_usable_cpus(monkeypatch, cpus)
+        threads = threading.active_count()
+        fail[0] = True
+        with pytest.raises(RuntimeError) as info:
+            sir_sweep(cfg)
+        errors.append((type(info.value), str(info.value)))
+        assert threading.active_count() == threads
+        fail[0] = False
+        sir_sweep(cfg)
+        assert threading.active_count() == threads
+    assert errors == [(RuntimeError, "the second chunk failed")] * 2
 
 
 # --- exact sums -------------------------------------------------------------
