@@ -175,17 +175,19 @@ def _gain_block(seed: int, start: int, count: int) -> np.ndarray:
     depends on (seed, start + i): draw i is Philox4x64-10 at counter
     (i + 1) mod 2**256, the top 53 bits of each word k giving the uniform
     (k + 0.5) * 2**-53. numpy.random is imported here, not with the module.
+    The block is the transpose of a C-ordered (3, count) array, so that each
+    gain column is contiguous.
     """
     from numpy.random import Philox
 
     raw = Philox(key=seed, counter=start).random_raw((count, 4))  # integers(0, 2**64)
-    u = (raw[:, :3] >> np.uint64(11)).astype(np.float64)
+    u = (raw[:, :3].T >> np.uint64(11)).astype(np.float64, order="C")
     del raw
     u += 0.5
     u *= 2.0**-53
     x = _ndtri(u)
     x *= x
-    return x
+    return x.T
 
 
 def sample_channels(seed: int, index: int) -> ChannelGains:
@@ -354,9 +356,10 @@ def _map_in_order(task, starts):
 
     With at least two starts and two usable CPUs, two threads run the tasks
     (numpy releases the GIL inside each ufunc), each in a copy of the caller's
-    context, which carries numpy's error state; concurrent.futures is imported
-    only then. All tasks are submitted at once, so each builds its own inputs.
-    Every thread has ended when the generator returns or raises."""
+    context, which carries numpy's error state from numpy 2 on (numpy 1.x keeps
+    it per thread); concurrent.futures is imported only then. All tasks are
+    submitted at once, so each builds its own inputs. Every thread has ended
+    when the generator returns or raises."""
     workers = min(2, _usable_cpus(), len(starts))
     if workers == 1:
         yield from map(task, starts)

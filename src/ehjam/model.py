@@ -231,8 +231,10 @@ class ThresholdLine:
     Unbounded rule: +inf at every tau where gb2 == 0 (the jammer cannot reach
     the receiver, so every power neutralizes, zeta == 0 included), +inf for
     tau > 0 where even that K overflows, and +0 at tau == 0 otherwise.
-    feasible (neutralization_feasible) and the batch's infeasible and gb2 ==
-    0 lanes, as flat indices, are each formed once, on first use."""
+    feasible (neutralization_feasible) and ceiling, +inf where the link can be
+    neutralized and 0 where it cannot, are each formed once, on first use:
+    np.minimum(x, ceiling) zeroes the infeasible lanes of any x >= 0 of a
+    shape that broadcasts with the gains, in any memory layout."""
 
     def __init__(self, gains: ChannelGains, params: SystemParams):
         self.gains, self.params = gains, params
@@ -247,25 +249,14 @@ class ThresholdLine:
         self._unreached = gb2 == 0.0
         self._origin = np.where(self._unreached, math.inf, 0.0)  # the line at tau = 0
         self.k = np.where(self._unreached, math.inf, np.where(params.zeta == 0.0, 0.0, k))
-        self._shape = np.broadcast(gains.h2, gains.ga2, gains.gb2).shape
 
     @cached_property
     def feasible(self):
         return np.asarray(neutralization_feasible(self.gains, self.params))
 
-    def _lanes(self, shape):
-        """(gb2 == 0, infeasible) lanes: C-order flat indices into this shape."""
-        flat = lambda mask: np.broadcast_to(mask, shape).ravel().nonzero()[0]
-        return flat(self._unreached), flat(~self.feasible)
-
     @cached_property
-    def _batch_lanes(self):  # h2, ga2 and gb2 broadcast, also where K is 0-d
-        return self._lanes(self._shape)
-
-    @property
-    def infeasible(self):
-        """Flat indices of the infeasible lanes of a batch-shaped result."""
-        return self._batch_lanes[1]
+    def ceiling(self):
+        return np.where(self.feasible, math.inf, 0.0)
 
     def at(self, tau):
         """p_th(tau), unchecked: tau in [0, 1], broadcast against the gains'
@@ -279,16 +270,11 @@ class ThresholdLine:
         against the gains' ga2 and gb2. It is the sign of p_th(tau) - p, except
         on the gb2 == 0 lanes, which read that of tau*zeta*ga2, and on the
         links that cannot be neutralized, which read -1."""
-        # C order, so that reshape(-1) is a view the flat lane indices address
-        sign = np.asarray(np.sign(self.at(tau) - p), order="C")
-        unreached, infeasible = (self._batch_lanes if sign.shape == self._shape
-                                 else self._lanes(sign.shape))
-        flat = sign.reshape(-1)
-        if unreached.size:
-            tau_u, ga2_u = (np.broadcast_to(x, sign.shape).flat[unreached]
-                            for x in (tau, self.gains.ga2))
-            flat[unreached] = np.sign(tau_u * self.params.zeta * ga2_u)
-        flat[infeasible] = -1.0
+        sign = np.sign(self.at(tau) - p)
+        if self._unreached.any():
+            sign = np.where(self._unreached, np.sign(tau * self.params.zeta * self.gains.ga2),
+                            sign)
+        sign = np.minimum(sign, self.ceiling - 1.0)  # -1 where infeasible
         return float(sign) if sign.ndim == 0 else sign
 
 
@@ -314,6 +300,7 @@ def jamming_sign(p, tau, gains: ChannelGains, params: SystemParams):
     p_threshold - p when gb2 > 0 and of tau*zeta*ga2 when gb2 == 0. Links
     that cannot be neutralized read -1 throughout, flat cases included.
     """
+    _check_nonneg("p", p)
     if not (((t := np.asarray(tau)) >= 0.0) & (t < 1.0)).all():
         raise ValueError("tau must lie in [0, 1)")
     return ThresholdLine(gains, params).sign(p, tau)

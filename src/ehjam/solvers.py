@@ -297,8 +297,9 @@ class ChannelBatch:
     any transmit budget P (params.p_max is not read); feasible marks where the
     jammer can be neutralized. What does not depend on P is kept from first
     use, so that each budget pays only for what does: the ThresholdLine, built
-    here, with K and its lane sets; each tau-profile's beta and s(beta); and
-    t_hat, which only nj reads."""
+    here, with K and its ceiling, which zeroes nj's p and tau on the links that
+    cannot be neutralized; each tau-profile's beta and s(beta); and t_hat,
+    which only nj reads."""
 
     def __init__(self, gains: ChannelGains, params: SystemParams):
         self.gains, self.params = gains, params
@@ -349,14 +350,12 @@ class ChannelBatch:
         on_threshold = t_hat < p_inv
         off = ~on_threshold
         beyond = off & (t_tilde > p_inv)
-        # new, C-ordered tau and p: reshape(-1) is a view the lane indices address
-        tau = np.asarray(np.where(on_threshold, t_hat, np.maximum(t_tilde, p_inv)), order="C")
-        infeasible = line.infeasible
-        tau.reshape(-1)[infeasible] = 0.0
+        tau = np.where(on_threshold, t_hat, np.maximum(t_tilde, p_inv))
+        np.minimum(tau, line.ceiling, out=tau)  # 0 where infeasible
         threshold = line.at(tau)
         short = np.flatnonzero(feasible & off & (threshold < p_max) & (tau < TAU_LIMIT))
-        p = np.asarray(np.minimum(threshold, p_max), order="C")  # 0-d: a numpy scalar
-        p.reshape(-1)[infeasible] = 0.0
+        p = np.asarray(np.minimum(threshold, p_max))  # np.put needs an array, 0-d too
+        np.minimum(p, line.ceiling, out=p)
         if short.size:
             np.put(tau, short, np.nextafter(tau.flat[short], 1.0))
             np.put(p, short, p_max)

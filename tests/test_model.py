@@ -248,13 +248,14 @@ _GAINS = ChannelGains(1.0, 1.0, 0.2)
     (lambda: p_threshold(np.array([0.5, math.nan]), _GAINS, reference_params()),
      "tau must lie in [0, 1]"),
     (lambda: jamming_sign(1.0, math.nan, _GAINS, reference_params()), "tau must lie in [0, 1)"),
+    (lambda: jamming_sign(math.nan, 0.5, _GAINS, reference_params()), "p must be >= 0"),
     (lambda: capacity_tau_derivative(FixedPower(1.0, 0.0), math.nan, _GAINS,
                                      reference_params()), "tau must lie in [0, 1)"),
     (lambda: metric_f(1.0, math.nan), "capacities must be >= 0"),
     (lambda: metric_fnj(np.array([math.nan, 1.0]), 0.5), "capacities must be >= 0"),
     (lambda: linear_to_db(math.nan), "linear value must be positive to express in dB"),
 ], ids=["capacity-p", "capacity-tau", "capacity-gamma", "p_threshold", "jamming_sign",
-        "capacity_tau_derivative", "metric_f", "metric_fnj", "linear_to_db"])
+        "jamming_sign-p", "capacity_tau_derivative", "metric_f", "metric_fnj", "linear_to_db"])
 def test_range_checks_reject_nan(call, message):
     # each check is written as the range it accepts, so nan falls outside it
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -404,9 +405,9 @@ def test_threshold_at_zero_is_plus_zero_where_k_is_negative():
 
 
 def test_lane_rules_hold_for_any_memory_layout():
-    # the gb2 == 0 and infeasible lanes are addressed by C-order flat index;
-    # Fortran-ordered 2-D gains, tau and p give the same bytes as their
-    # C-ordered copies
+    # the gb2 == 0 and infeasible lane rules broadcast per-lane arrays, so
+    # Fortran-ordered 2-D gains, tau and p, strided columns of an (n, 3) block
+    # and reversed views give the same bytes as their C-ordered copies
     rng = np.random.default_rng(7)
     params = SystemParams(0.1, 0.2, 1.0, 10.0, 0.8)
     h2, ga2, gb2 = (rng.lognormal(0.0, 2.0, (4, 6)) for _ in range(3))
@@ -415,23 +416,26 @@ def test_lane_rules_hold_for_any_memory_layout():
     tau = rng.uniform(0.0, 0.9, (4, 6))
     tau[:, 0] = 0.0
     p = rng.uniform(0.0, 2.0, (4, 6))
-    fortran = np.asfortranarray
-    gains_c = ChannelGains(h2, ga2, gb2)
-    gains_f = ChannelGains(*map(fortran, (h2, ga2, gb2)))
-    assert not np.all(neutralization_feasible(gains_c, params))
+    block = np.stack([h2, ga2, gb2, tau, p], axis=-1).reshape(-1, 5)
+    columns = [block[:, j] for j in range(5)]  # 40-byte strides
+    reversed_ = [np.ascontiguousarray(x.ravel()[::-1])[::-1] for x in (h2, ga2, gb2, tau, p)]
     same = lambda a, b: (np.shape(a) == np.shape(b) and np.asarray(a).dtype == np.asarray(b).dtype
                          and np.asarray(a).tobytes() == np.asarray(b).tobytes())
-    p_f, tau_f = fortran(p), fortran(tau)
-    for p_, tau_ in ((0.0, 0.0), (0.5, tau_f), (p_f, 0.3), (p_f, tau_f)):
-        p_c, tau_c = np.array(p_, order="C"), np.array(tau_, order="C")
-        sign_c = jamming_sign(p_c, tau_c, gains_c, params)
-        assert same(jamming_sign(p_, tau_, gains_f, params), sign_c)
-        assert same(p_threshold(tau_, gains_f, params), p_threshold(tau_c, gains_c, params))
-    batch_c, batch_f = ChannelBatch(gains_c, params), ChannelBatch(gains_f, params)
-    for p_max in (1e-3, 1.0, 1e3):
-        for solve in ("ne", "nj"):
-            c, f = getattr(batch_c, solve)(p_max), getattr(batch_f, solve)(p_max)
-            assert all(same(a, b) for a, b in zip(c, f))
+    for *gains_, tau_v, p_v in ([*map(np.asfortranarray, (h2, ga2, gb2, tau, p))],
+                                columns, reversed_):
+        gains_c = ChannelGains(*(np.array(x, order="C") for x in gains_))
+        gains_v = ChannelGains(*gains_)
+        assert not np.all(neutralization_feasible(gains_c, params))
+        for p_, tau_ in ((0.0, 0.0), (0.5, tau_v), (p_v, 0.3), (p_v, tau_v)):
+            p_c, tau_c = np.array(p_, order="C"), np.array(tau_, order="C")
+            sign_c = jamming_sign(p_c, tau_c, gains_c, params)
+            assert same(jamming_sign(p_, tau_, gains_v, params), sign_c)
+            assert same(p_threshold(tau_, gains_v, params), p_threshold(tau_c, gains_c, params))
+        batch_c, batch_v = ChannelBatch(gains_c, params), ChannelBatch(gains_v, params)
+        for p_max in (1e-3, 1.0, 1e3):
+            for solve in ("ne", "nj"):
+                c, v = getattr(batch_c, solve)(p_max), getattr(batch_v, solve)(p_max)
+                assert all(same(a, b) for a, b in zip(c, v))
 
 
 def test_p_threshold_unbounded_at_zero_efficiency_without_interference():
@@ -472,10 +476,11 @@ def test_jammer_best_response_tie_on_threshold():
 
 
 def test_jammer_best_response_infeasible_always_full_power():
-    gains = ChannelGains(0.2, 0.2, 1.0)
+    # ga2 == gb2 == 0 is out of the jammer's reach too: the infeasible rule wins
     params = reference_params()
-    for p, tau in ((0.0, 0.0), (0.0, 0.5), (5.0, 0.2)):
-        assert jamming_sign(p, tau, gains, params) == -1.0
+    for gains in (ChannelGains(0.2, 0.2, 1.0), ChannelGains(1.0, 0.0, 0.0)):
+        for p, tau in ((0.0, 0.0), (0.0, 0.5), (5.0, 0.2)):
+            assert jamming_sign(p, tau, gains, params) == -1.0
 
 
 def test_jammer_best_response_interference_free_jammer():
@@ -491,6 +496,9 @@ def test_jammer_best_response_validates_strategy():
     params = reference_params(p_max=10.0)
     with pytest.raises(ValueError):
         jamming_sign(1.0, 1.0, gains, params)
+    for p in (-1.0, np.array([0.5, -1.0])):
+        with pytest.raises(ValueError, match="p must be >= 0"):
+            jamming_sign(p, 0.5, gains, params)
 
 
 # --- monotonicity in the jamming power --------------------------------------

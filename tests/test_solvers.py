@@ -197,12 +197,14 @@ def test_tau_tilde_boundary_flag_when_nothing_harvested():
 # --- solve_nj ---------------------------------------------------------------
 
 def test_solve_nj_infeasible_is_zero():
-    res = solve_nj(ChannelGains(0.2, 0.2, 1.0), params_at_sir(0.0))
-    assert res.regime is SolutionRegime.NJ_INFEASIBLE
-    assert not res.feasible
-    assert res.value == 0.0
-    assert res.profile.legit.p == 0.0
-    assert res.profile.gamma == 0.0
+    # ga2 == gb2 == 0 is out of the jammer's reach too: the infeasible rule wins
+    for gains in (ChannelGains(0.2, 0.2, 1.0), ChannelGains(1.0, 0.0, 0.0)):
+        res = solve_nj(gains, params_at_sir(0.0))
+        assert res.regime is SolutionRegime.NJ_INFEASIBLE
+        assert not res.feasible
+        assert res.value == 0.0
+        assert res.profile.legit.p == res.profile.legit.tau == 0.0
+        assert res.profile.gamma == 0.0
 
 
 def test_solve_nj_case_a_independent_of_power_budget():
