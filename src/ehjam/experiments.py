@@ -174,7 +174,9 @@ def _gain_block(seed: int, start: int, count: int) -> np.ndarray:
     One 4-word counter block per draw (3 words used), so the i-th row only
     depends on (seed, start + i): draw i is Philox4x64-10 at counter
     (i + 1) mod 2**256, the top 53 bits of each word k giving the uniform
-    (k + 0.5) * 2**-53. numpy.random is imported here, not with the module.
+    (k + 0.5) * 2**-53, clamped at 1 - 2**-53, the largest double below 1:
+    for k = 2**53 - 1 alone it rounds to 1.0, whose quantile is +inf.
+    numpy.random is imported here, not with the module.
     The block is the transpose of a C-ordered (3, count) array, so that each
     gain column is contiguous.
     """
@@ -185,6 +187,7 @@ def _gain_block(seed: int, start: int, count: int) -> np.ndarray:
     del raw
     u += 0.5
     u *= 2.0**-53
+    np.minimum(u, 1.0 - 2.0**-53, out=u)
     x = _ndtri(u)
     x *= x
     return x.T
@@ -201,7 +204,8 @@ def sample_channels(seed: int, index: int) -> ChannelGains:
     if not 0 <= index < 2**256:
         raise ValueError("index must lie in [0, 2**256)")
     words = _philox_block(seed, (index + 1) % 2**256)
-    x = [_ndtri_one((float(k >> 11) + 0.5) * 2.0**-53) for k in words[:3]]
+    x = [_ndtri_one(min((float(k >> 11) + 0.5) * 2.0**-53, 1.0 - 2.0**-53))
+         for k in words[:3]]
     return ChannelGains(x[0] * x[0], x[1] * x[1], x[2] * x[2])
 
 

@@ -9,15 +9,14 @@ headers), never inside the math.
 
 All functions here are pure and array-native: gains, powers and tau may be
 numpy arrays that broadcast elementwise, and scalar arguments are the 0-d
-case, returned as floats. jamming_sign is the jammer's best response, read
-from ThresholdLine, which holds a batch's neutralization threshold.
+case, returned as floats. The game played on this link, the neutralization
+threshold and the jammer's best response included, lives in solvers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -28,14 +27,11 @@ __all__ = [
     "NeutralizationInfeasible",
     "StrategyProfile",
     "SystemParams",
-    "ThresholdLine",
     "capacity",
     "db_to_linear",
-    "jamming_sign",
     "linear_to_db",
     "log1p_snr",
     "neutralization_feasible",
-    "p_threshold",
     "snr_factors",
     "snr_scale",
 ]
@@ -213,94 +209,8 @@ def capacity(p, tau, gamma, gains: ChannelGains, params: SystemParams):
 
 def neutralization_feasible(gains: ChannelGains, params: SystemParams):
     """True where ga2*n_b > gb2*n_a: the harvesting link beats the jamming
-    link, elementwise. Exactly, that is K > 0 when zeta > 0; rounded, a
-    feasible link may read K = 0 and an infeasible one K > 0, so ThresholdLine
+    link, elementwise. Exactly, that is K > 0 when zeta > 0, K the slope of
+    the neutralization threshold that solvers.ChannelBatch owns; rounded, a
+    feasible link may read K = 0 and an infeasible one K > 0, so ChannelBatch
     decides feasibility by this test, not by K's sign."""
     return gains.ga2 * params.n_b > gains.gb2 * params.n_a
-
-
-class ThresholdLine:
-    """The neutralization threshold of an array of links (0-d for scalar
-    gains), the line p_th(tau) = tau*K in the EH fraction, built once per
-    batch: at and sign read it at any tau without forming K again. Both are
-    unchecked; p_threshold and jamming_sign are their checked one-shot calls.
-
-    The one place K = zeta*(ga2*n_b/gb2 - n_a), 0 when zeta == 0, is formed.
-    Where X = ga2*n_b/gb2 overflows but zeta > 0, K is formed from logarithms
-    as zeta*X*(1 - n_a/X), so a tiny zeta can bring it back into range.
-    Unbounded rule: +inf at every tau where gb2 == 0 (the jammer cannot reach
-    the receiver, so every power neutralizes, zeta == 0 included), +inf for
-    tau > 0 where even that K overflows, and +0 at tau == 0 otherwise.
-    feasible (neutralization_feasible) and ceiling, +inf where the link can be
-    neutralized and 0 where it cannot, are each formed once, on first use:
-    np.minimum(x, ceiling) zeroes the infeasible lanes of any x >= 0 of a
-    shape that broadcasts with the gains, in any memory layout."""
-
-    def __init__(self, gains: ChannelGains, params: SystemParams):
-        self.gains, self.params = gains, params
-        gb2 = np.asarray(gains.gb2, dtype=float)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            k = (gains.ga2 * params.n_b / gb2 - params.n_a) * params.zeta
-            huge = np.isinf(k) & (gb2 > 0.0) & (params.zeta > 0.0)
-            if huge.any():  # X = ga2*n_b/gb2 overflows, zeta*X may not
-                log_x = np.log(gains.ga2) + math.log(params.n_b) - np.log(gb2)
-                zeta_x = np.exp(math.log(params.zeta) + log_x)
-                k = np.where(huge, zeta_x * (1.0 - params.n_a / np.exp(log_x)), k)
-        self._unreached = gb2 == 0.0
-        self._origin = np.where(self._unreached, math.inf, 0.0)  # the line at tau = 0
-        self.k = np.where(self._unreached, math.inf, np.where(params.zeta == 0.0, 0.0, k))
-
-    @cached_property
-    def feasible(self):
-        return np.asarray(neutralization_feasible(self.gains, self.params))
-
-    @cached_property
-    def ceiling(self):
-        return np.where(self.feasible, math.inf, 0.0)
-
-    def at(self, tau):
-        """p_th(tau), unchecked: tau in [0, 1], broadcast against the gains'
-        ga2 and gb2."""
-        with np.errstate(invalid="ignore"):  # 0*inf at tau == 0, not taken
-            line = np.where(tau == 0.0, self._origin, tau * self.k)
-        return float(line) if line.ndim == 0 else line
-
-    def sign(self, p, tau):
-        """jamming_sign's rule, unchecked: p >= 0 and tau in [0, 1) broadcast
-        against the gains' ga2 and gb2. It is the sign of p_th(tau) - p, except
-        on the gb2 == 0 lanes, which read that of tau*zeta*ga2, and on the
-        links that cannot be neutralized, which read -1."""
-        sign = np.sign(self.at(tau) - p)
-        if self._unreached.any():
-            sign = np.where(self._unreached, np.sign(tau * self.params.zeta * self.gains.ga2),
-                            sign)
-        sign = np.minimum(sign, self.ceiling - 1.0)  # -1 where infeasible
-        return float(sign) if sign.ndim == 0 else sign
-
-
-def p_threshold(tau, gains: ChannelGains, params: SystemParams):
-    """Largest transmit power at which more jamming still helps the link,
-    elementwise over tau in [0, 1] and gain arrays: ThresholdLine's line
-    tau*K, so p_threshold(1) is its slope K (mW per unit tau), +inf where gb2
-    == 0 and 0 at tau == 0 otherwise."""
-    t = np.asarray(tau, dtype=float)
-    if not ((t >= 0.0) & (t <= 1.0)).all():
-        raise ValueError("tau must lie in [0, 1]")
-    return ThresholdLine(gains, params).at(t)
-
-
-def jamming_sign(p, tau, gains: ChannelGains, params: SystemParams):
-    """The jammer's best response at a fixed legitimate strategy, elementwise.
-    Capacity is monotone in gamma, so the response is bang-bang: +1 where
-    capacity increases in gamma (the jammer stays silent), -1 where it
-    decreases (full power), 0 where it is flat (every gamma ties).
-
-    The sign of dC/dgamma is gamma-independent and given by
-    ``tau*zeta*ga2*n_b - (p + tau*zeta*n_a)*gb2``, which has the sign of
-    p_threshold - p when gb2 > 0 and of tau*zeta*ga2 when gb2 == 0. Links
-    that cannot be neutralized read -1 throughout, flat cases included.
-    """
-    _check_nonneg("p", p)
-    if not (((t := np.asarray(tau)) >= 0.0) & (t < 1.0)).all():
-        raise ValueError("tau must lie in [0, 1)")
-    return ThresholdLine(gains, params).sign(p, tau)

@@ -14,8 +14,10 @@ concave itself (Boyd and Vandenberghe, "Convex Optimization", 2004, sec.
 3.2.3), so its maximizer follows from the two profile optima and the kink
 without comparing values.
 
-ChannelBatch is the one array core, for any transmit budget P; the scalar
-solvers are its one-channel case at params.p_max.
+ChannelBatch is the one array core, for any transmit budget P, and the one
+owner of the neutralization threshold: p_threshold and jamming_sign are its
+checked one-shot calls, and the scalar solvers its one-channel case at
+params.p_max.
 """
 
 from __future__ import annotations
@@ -35,11 +37,9 @@ from .model import (
     NeutralizationInfeasible,
     StrategyProfile,
     SystemParams,
-    ThresholdLine,
     capacity,
     log1p_snr,
     neutralization_feasible,
-    p_threshold,
     snr_factors,
     snr_scale,
 )
@@ -54,8 +54,10 @@ __all__ = [
     "OnThreshold",
     "SolutionRegime",
     "capacity_tau_derivative",
+    "jamming_sign",
     "ne_grid_optimum",
     "nj_grid_value",
+    "p_threshold",
     "solve_ne",
     "solve_nj",
     "tau_profile_capacity",
@@ -294,18 +296,60 @@ class NJArrays(NamedTuple):
 
 class ChannelBatch:
     """Both operating points of an array of channels (0-d for scalar gains) at
-    any transmit budget P (params.p_max is not read); feasible marks where the
-    jammer can be neutralized. What does not depend on P is kept from first
-    use, so that each budget pays only for what does: the ThresholdLine, built
-    here, with K and its ceiling, which zeroes nj's p and tau on the links that
-    cannot be neutralized; each tau-profile's beta and s(beta); and t_hat,
-    which only nj reads."""
+    any transmit budget P (params.p_max is not read), and the one owner of the
+    batch's neutralization threshold, the line p_th(tau) = tau*K in the EH
+    fraction: the jammer's best response follows the sign of p_th(tau) - p.
+
+    K = zeta*(ga2*n_b/gb2 - n_a), 0 when zeta == 0, is formed here, once.
+    Where X = ga2*n_b/gb2 overflows but zeta > 0, K is formed from logarithms
+    as zeta*X*(1 - n_a/X), so a tiny zeta can bring it back into range. The
+    line is +inf at every tau where gb2 == 0 (the jammer cannot reach the
+    receiver, so every power neutralizes, zeta == 0 included), +inf for tau >
+    0 where even that K overflows, and +0 at tau == 0 otherwise. feasible
+    (neutralization_feasible) marks where the jammer can be neutralized; the
+    ceiling, +inf there and 0 elsewhere, zeroes the infeasible lanes of any x
+    >= 0 of a shape that broadcasts with the gains, in any memory layout, as
+    np.minimum(x, ceiling). _threshold and _sign read the line unchecked;
+    p_threshold and jamming_sign are their checked one-shot calls. What does
+    not depend on P is kept from first use, so that each budget pays only for
+    what does: each tau-profile's beta and s(beta), and t_hat, which only nj
+    reads."""
 
     def __init__(self, gains: ChannelGains, params: SystemParams):
         self.gains, self.params = gains, params
-        self._line = ThresholdLine(gains, params)
-        self.feasible = self._line.feasible
+        gb2 = np.asarray(gains.gb2, dtype=float)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            k = (gains.ga2 * params.n_b / gb2 - params.n_a) * params.zeta
+            huge = np.isinf(k) & (gb2 > 0.0) & (params.zeta > 0.0)
+            if huge.any():  # X = ga2*n_b/gb2 overflows, zeta*X may not
+                log_x = np.log(gains.ga2) + math.log(params.n_b) - np.log(gb2)
+                zeta_x = np.exp(math.log(params.zeta) + log_x)
+                k = np.where(huge, zeta_x * (1.0 - params.n_a / np.exp(log_x)), k)
+        self._unreached = gb2 == 0.0
+        self._origin = np.where(self._unreached, math.inf, 0.0)  # the line at tau = 0
+        self._k = np.where(self._unreached, math.inf, np.where(params.zeta == 0.0, 0.0, k))
+        self.feasible = np.asarray(neutralization_feasible(gains, params))
+        self._ceiling = np.where(self.feasible, math.inf, 0.0)
         self._taus = {}  # jamming power -> tau(p) of that fixed-power profile
+
+    def _threshold(self, tau):
+        """p_th(tau), unchecked: tau in [0, 1], broadcast against the gains'
+        ga2 and gb2."""
+        with np.errstate(invalid="ignore"):  # 0*inf at tau == 0, not taken
+            line = np.where(tau == 0.0, self._origin, tau * self._k)
+        return float(line) if line.ndim == 0 else line
+
+    def _sign(self, p, tau):
+        """jamming_sign's rule, unchecked: p >= 0 and tau in [0, 1) broadcast
+        against the gains' ga2 and gb2. It is the sign of p_th(tau) - p, except
+        on the gb2 == 0 lanes, which read that of tau*zeta*ga2, and on the
+        links that cannot be neutralized, which read -1."""
+        sign = np.sign(self._threshold(tau) - p)
+        if self._unreached.any():
+            sign = np.where(self._unreached, np.sign(tau * self.params.zeta * self.gains.ga2),
+                            sign)
+        sign = np.minimum(sign, self._ceiling - 1.0)  # -1 where infeasible
+        return float(sign) if sign.ndim == 0 else sign
 
     def _fixed_power_tau(self, p_max, gamma):
         if not 0.0 < p_max < math.inf:
@@ -325,7 +369,7 @@ class ChannelBatch:
         gains, params, gamma = self.gains, self.params, self.params.gamma_max
         tau = self._fixed_power_tau(p_max, gamma)
         value = capacity(p_max, tau, gamma, gains, params)
-        return NEArrays(tau, value, self._line.sign(p_max, tau) <= 0.0)
+        return NEArrays(tau, value, self._sign(p_max, tau) <= 0.0)
 
     def nj(self, p_max: float) -> NJArrays:
         """Neutralizing optimum; infeasible links get value 0 and a zero strategy.
@@ -342,26 +386,55 @@ class ChannelBatch:
         to >= P. A subnormal P/K (t0 = 0 too) is within 2^-1075 of t0, so t1*K >
         P; a subnormal t1*K misses P by under half its spacing. A t_tilde > t0
         is >= t1, and rounding is monotone. Only those short lanes are stepped."""
-        line, feasible = self._line, self.feasible
+        feasible, ceiling = self.feasible, self._ceiling
         t_tilde = self._fixed_power_tau(p_max, 0.0)
         with np.errstate(divide="ignore", over="ignore"):  # an inf kink is exact
-            p_inv = np.divide(p_max, line.k)
+            p_inv = np.divide(p_max, self._k)
         t_hat = self._t_hat
         on_threshold = t_hat < p_inv
         off = ~on_threshold
         beyond = off & (t_tilde > p_inv)
         tau = np.where(on_threshold, t_hat, np.maximum(t_tilde, p_inv))
-        np.minimum(tau, line.ceiling, out=tau)  # 0 where infeasible
-        threshold = line.at(tau)
+        np.minimum(tau, ceiling, out=tau)  # 0 where infeasible
+        threshold = self._threshold(tau)
         short = np.flatnonzero(feasible & off & (threshold < p_max) & (tau < TAU_LIMIT))
         p = np.asarray(np.minimum(threshold, p_max))  # np.put needs an array, 0-d too
-        np.minimum(p, line.ceiling, out=p)
+        np.minimum(p, ceiling, out=p)
         if short.size:
             np.put(tau, short, np.nextafter(tau.flat[short], 1.0))
             np.put(p, short, p_max)
         value = capacity(p, tau, 0.0, self.gains, self.params)
         regime = (2 - (p_inv > 1.0) + beyond) * feasible  # 0 infeasible, 1 case a, 2 or 3
         return NJArrays(p, tau, value, regime)
+
+
+def p_threshold(tau, gains: ChannelGains, params: SystemParams):
+    """Largest transmit power at which more jamming still helps the link,
+    elementwise over tau in [0, 1] and gain arrays: ChannelBatch's line
+    tau*K, so p_threshold(1) is its slope K (mW per unit tau), +inf where gb2
+    == 0 and 0 at tau == 0 otherwise."""
+    t = np.asarray(tau, dtype=float)
+    if not ((t >= 0.0) & (t <= 1.0)).all():
+        raise ValueError("tau must lie in [0, 1]")
+    return ChannelBatch(gains, params)._threshold(t)
+
+
+def jamming_sign(p, tau, gains: ChannelGains, params: SystemParams):
+    """The jammer's best response at a fixed legitimate strategy, elementwise.
+    Capacity is monotone in gamma, so the response is bang-bang: +1 where
+    capacity increases in gamma (the jammer stays silent), -1 where it
+    decreases (full power), 0 where it is flat (every gamma ties).
+
+    The sign of dC/dgamma is gamma-independent and given by
+    ``tau*zeta*ga2*n_b - (p + tau*zeta*n_a)*gb2``, which has the sign of
+    p_threshold - p when gb2 > 0 and of tau*zeta*ga2 when gb2 == 0. Links
+    that cannot be neutralized read -1 throughout, flat cases included.
+    """
+    if not (np.asarray(p) >= 0.0).all():
+        raise ValueError("p must be >= 0")
+    if not (((t := np.asarray(tau)) >= 0.0) & (t < 1.0)).all():
+        raise ValueError("tau must lie in [0, 1)")
+    return ChannelBatch(gains, params)._sign(p, tau)
 
 
 def solve_nj(gains: ChannelGains, params: SystemParams) -> EquilibriumResult:

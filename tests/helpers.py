@@ -15,7 +15,7 @@ from ehjam import (
     solve_ne,
     transmit_budget,
 )
-from ehjam import model, solvers
+from ehjam import experiments, solvers
 
 # reference operating point used throughout: noise at -10/-7 dBm, jamming
 # budget 10 dBm, harvesting efficiency 0.8
@@ -99,22 +99,22 @@ def infeasible_instances(seed: int, count: int, zeta: float = ZETA):
 
 
 @contextmanager
-def bounded_threshold_lines(limit: int = 1):
-    """Patch ThresholdLine in solvers and in model inside the block to raise
-    past limit constructions, ChannelBatch's and those of the checked one-shot
-    calls (p_threshold, jamming_sign) alike: ChannelBatch builds one line per
-    batch and reads it at every budget, its one-ulp nudge included, without
-    building another or calling those."""
-    calls, real = [], model.ThresholdLine
+def counted_batches(limit: int | None = None):
+    """Patch ChannelBatch in solvers and in experiments inside the block to
+    count its constructions, yielded as a list of their arguments, and to raise
+    past limit, if one is given. A batch owns its threshold line and reads it
+    at every budget, its one-ulp nudge included, without building another; the
+    checked one-shot calls (p_threshold, jamming_sign) build one each."""
+    calls, real = [], solvers.ChannelBatch
 
     def counted(*args):
         calls.append(args)
-        if len(calls) > limit:
-            raise AssertionError(f"more than {limit} threshold lines")
+        if limit is not None and len(calls) > limit:
+            raise AssertionError(f"more than {limit} channel batches")
         return real(*args)
 
-    solvers.ThresholdLine = model.ThresholdLine = counted
+    solvers.ChannelBatch = experiments.ChannelBatch = counted
     try:
-        yield
+        yield calls
     finally:
-        solvers.ThresholdLine = model.ThresholdLine = real
+        solvers.ChannelBatch = experiments.ChannelBatch = real

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import os
@@ -13,9 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ehjam import ChannelGains, solve_ne, solve_nj
+from ehjam import ChannelGains, cli, solve_ne, solve_nj
 from ehjam.cli import run
-from helpers import bounded_threshold_lines, params_at_sir
+from helpers import counted_batches, params_at_sir
 
 
 def _parse_kv(out: str) -> dict:
@@ -115,11 +116,11 @@ def test_huge_gains_finite_without_warnings(capsys, argv, regime, capacity_bpcu)
     (9.688935366430316e299, 5.050715603424172),  # once read the kink as 0/0
 ])
 def test_nj_at_subnormal_budgets_finishes_finite(capsys, h2, ga2):
-    # K and P round to a few ulps of 5e-324: one threshold line, with at most
-    # one ulp nudge, must settle the kink
+    # K and P round to a few ulps of 5e-324: one batch and its threshold line,
+    # with at most one ulp nudge, must settle the kink
     argv = ["nj", "--zeta", "5e-324", "--p-mw", "5e-324", "--h2", repr(h2),
             "--ga2", repr(ga2), "--gb2", "1"]
-    with warnings.catch_warnings(), bounded_threshold_lines(1):
+    with warnings.catch_warnings(), counted_batches(1):
         warnings.simplefilter("error")
         assert run(argv) == 0
     capacity_bpcu = float(_parse_kv(capsys.readouterr().out)["capacity_bpcu"])
@@ -127,11 +128,11 @@ def test_nj_at_subnormal_budgets_finishes_finite(capsys, h2, ga2):
 
 
 def test_sweep_at_subnormal_zeta_and_jamming_budget_finishes(tmp_path, capsys):
-    # one chunk at 41 SIR points: one threshold line, and no SIR point builds
-    # another; the dominance check may still reject these deep-subnormal sums
+    # one chunk at 41 SIR points: one batch, and no SIR point builds another;
+    # the dominance check may still reject these deep-subnormal sums
     argv = ["sweep", "--zeta", "1e-320", "--gamma-mw", "1e-318", "--draws", "200",
             "--out", str(tmp_path / "s.csv")]
-    with bounded_threshold_lines(1):
+    with counted_batches(1):
         assert run(argv) in (0, 1)
 
 
@@ -303,6 +304,21 @@ def test_verify_fails_with_impossible_tolerance(capsys):
                 "--legit-grid", "40", "--jammer-grid", "40", "--tol", "-1"])
     assert code == 3
     assert "result=fail" in capsys.readouterr().out
+
+
+def test_verify_fails_when_neutralizing_beats_full_power_jamming(capsys, monkeypatch):
+    # NJ's value can never exceed NE's; a solver that claims it does fails verify
+    real = cli.solve_nj
+
+    def solve_nj_above_ne(*args):
+        res = real(*args)
+        return dataclasses.replace(res, value=res.value + 1.0)
+
+    monkeypatch.setattr(cli, "solve_nj", solve_nj_above_ne)
+    assert run(["verify", "--sets", "2"]) == 3
+    out = capsys.readouterr().out
+    assert "result=fail" in out
+    assert float(_parse_kv(out)["worst_dominance_violation"]) > 0.0
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])

@@ -31,7 +31,13 @@ from ehjam import (
     write_csv,
 )
 from ehjam import experiments, solvers
-from ehjam.experiments import _CSV_COLUMNS, _exact_parts, _gain_block, _philox_block
+from ehjam.experiments import (
+    _CSV_COLUMNS,
+    _exact_parts,
+    _gain_block,
+    _ndtri_one,
+    _philox_block,
+)
 from helpers import params_at_sir, reference_params
 
 
@@ -125,6 +131,25 @@ def test_philox_block_matches_numpy_philox(key, counter):
 
     words = Philox(key=key, counter=counter).random_raw(4)
     assert _philox_block(key, (counter + 1) % 2**256) == tuple(map(int, words))
+
+
+def test_a_philox_word_of_all_ones_draws_a_finite_gain(monkeypatch):
+    # its top 53 bits k = 2**53 - 1 make (k + 0.5) * 2**-53 round to 1.0,
+    # whose quantile is +inf; both draw paths clamp u at 1 - 2**-53 alike
+    words = (2**64 - 1, *_philox_block(0, 1)[1:])
+
+    class Philox:
+        def __init__(self, key, counter):
+            pass
+
+        def random_raw(self, shape):
+            return np.array([words], dtype=np.uint64).reshape(shape)
+
+    monkeypatch.setattr(experiments, "_philox_block", lambda key, counter: words)
+    monkeypatch.setattr(np.random, "Philox", Philox)
+    g, row = sample_channels(0, 0), _gain_block(0, 0, 1)[0]
+    assert g.h2 == _ndtri_one(1.0 - 2.0**-53) ** 2 == pytest.approx(67.40, abs=5e-3)
+    assert struct.pack("<3d", g.h2, g.ga2, g.gb2) == row.tobytes()
 
 
 def test_gain_moments_match_squared_standard_normal():
@@ -406,6 +431,14 @@ def test_sweep_memory_is_flat_in_draws():
 
 def _set_usable_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+
+
+@pytest.mark.parametrize("count, usable", [(4, 4), (None, 1)])
+def test_usable_cpus_is_the_cpu_count_without_an_affinity_set(monkeypatch, count, usable):
+    # as on macOS and Windows, which have no os.sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert experiments._usable_cpus() == usable
 
 
 def _record_pools(monkeypatch):

@@ -31,7 +31,7 @@ from ehjam import (
 )
 from ehjam.experiments import _gain_block
 from ehjam.solvers import _optimal_snr, _optimal_tau, _profile_tau, _tau_derivative
-from helpers import GAMMA_MW, bounded_threshold_lines, reference_params
+from helpers import GAMMA_MW, counted_batches, reference_params
 
 # deterministic examples, no example database: the suite reruns identically
 _SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -174,11 +174,11 @@ _DEEP_SUBNORMAL = st.one_of(st.just(5e-324), _log_uniform(-323.0, -300.0))
 )
 def test_neutralizing_solve_at_subnormal_budgets(draws, zeta, p_max):
     # K and P/K round coarsely here: the kink still costs at most one ulp
-    # nudge and one threshold line, and no 0/0 turns it into nan
+    # nudge and one batch, and no 0/0 turns it into nan
     params = SystemParams(n_a=0.1, n_b=0.2, p_max=p_max, gamma_max=10.0, zeta=zeta)
     for draw in draws:
         gains = ChannelGains(*draw)
-        with warnings.catch_warnings(), bounded_threshold_lines(1):
+        with warnings.catch_warnings(), counted_batches(1):
             warnings.simplefilter("error", RuntimeWarning)
             res = solve_nj(gains, params)
         legit = res.profile.legit

@@ -26,11 +26,12 @@ from ehjam import (
     tau_profile_capacity,
     verify_saddle_point,
 )
-from ehjam import model, solvers
+from ehjam import solvers
 from ehjam.model import TAU_LIMIT
 from ehjam.solvers import _profile_tau
 from helpers import (
     consistent_instances,
+    counted_batches,
     feasible_instances,
     params_at_sir,
     random_gains,
@@ -456,30 +457,18 @@ def test_channel_batch_forms_each_fixed_power_profile_once(monkeypatch):
     assert sorted(calls) == [0.0, reference_params().gamma_max]
 
 
-def _count_threshold_lines(monkeypatch):
-    """Count ThresholdLine constructions, ChannelBatch's and those of the
-    checked one-shot calls (p_threshold, jamming_sign) alike."""
-    lines = []
-    real = model.ThresholdLine
-    counted = lambda *a: lines.append(a) or real(*a)
-    monkeypatch.setattr(solvers, "ThresholdLine", counted)
-    monkeypatch.setattr(model, "ThresholdLine", counted)
-    return lines
-
-
-def test_channel_batch_builds_one_threshold_line_per_chunk(monkeypatch):
+def test_channel_batch_builds_one_threshold_line_per_chunk():
     # the line is built with the batch; every budget, NE's jammer sign and
-    # NJ's kink included, reads it without building another, also for a
+    # NJ's kink included, reads it without building another batch, also for a
     # chunk with a K = inf lane (gb2 == 0)
-    lines = _count_threshold_lines(monkeypatch)
     batch = ChannelBatch(ChannelGains(np.array([1.0, 0.3, 1.0]), np.array([1.0, 2.0, 1.0]),
                                       np.array([0.2, 1.5, 0.0])), reference_params())
-    assert len(lines) == 1
-    for sir_db in (-30.0, 0.0, 10.0):
-        p_max = params_at_sir(sir_db).p_max
-        batch.ne(p_max)
-        batch.nj(p_max)
-    assert len(lines) == 1
+    with counted_batches() as batches:
+        for sir_db in (-30.0, 0.0, 10.0):
+            p_max = params_at_sir(sir_db).p_max
+            batch.ne(p_max)
+            batch.nj(p_max)
+    assert batches == []
 
 
 def test_channel_batch_ne_never_solves_the_threshold_profile(monkeypatch):
@@ -502,13 +491,13 @@ def test_channel_batch_ne_never_solves_the_threshold_profile(monkeypatch):
 def test_solve_nj_builds_one_threshold_line(monkeypatch, gb2):
     # one line, whose K gives the kink and whose value at tau = 0 covers the
     # K = inf links (gb2 == 0, or K overflows); no p_threshold call
-    lines = _count_threshold_lines(monkeypatch)
     monkeypatch.setattr(solvers, "p_threshold", None)
-    solve_nj(ChannelGains(1.0, 1.0, gb2), params_at_sir(10.0))
-    assert len(lines) == 1
+    with counted_batches() as batches:
+        solve_nj(ChannelGains(1.0, 1.0, gb2), params_at_sir(10.0))
+    assert len(batches) == 1
 
 
-def test_solve_nj_settles_a_kink_below_p_in_one_ulp_step(monkeypatch):
+def test_solve_nj_settles_a_kink_below_p_in_one_ulp_step():
     # draw 78 of seed 0 at -10 dB (P = 1 mW): fl(P/K)*K rounds below P, so
     # tau steps one ulp past the kink, and that step alone reaches P
     gains = ChannelGains(1.1676177856993808, 2.450164956445085, 0.07503071158396635)
@@ -517,10 +506,9 @@ def test_solve_nj_settles_a_kink_below_p_in_one_ulp_step(monkeypatch):
     p_max = params.p_max
     k = p_threshold(1.0, gains, params)
     assert p_threshold(p_max / k, gains, params) < p_max
-    lines = _count_threshold_lines(monkeypatch)
-    res = solve_nj(gains, params)
-    monkeypatch.undo()
-    assert len(lines) == 1  # fl(P/K)*K and the stepped tau are read from its K
+    with counted_batches() as batches:
+        res = solve_nj(gains, params)
+    assert len(batches) == 1  # fl(P/K)*K and the stepped tau are read from its K
     legit = res.profile.legit
     assert res.regime is SolutionRegime.NJ_CASE_B_CANDIDATE1
     assert legit.p == p_max
