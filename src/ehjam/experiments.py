@@ -17,12 +17,10 @@ serial ones.
 
 from __future__ import annotations
 
-import contextvars
 import math
 import operator
 import os
 from dataclasses import dataclass, fields
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -359,20 +357,18 @@ def _map_in_order(task, starts):
     """task(start) for each start, yielded in the order of starts.
 
     With at least two starts and two usable CPUs, two threads run the tasks
-    (numpy releases the GIL inside each ufunc), each in a copy of the caller's
-    context, which carries numpy's error state from numpy 2 on (numpy 1.x keeps
-    it per thread); concurrent.futures is imported only then. All tasks are
-    submitted at once, so each builds its own inputs. Every thread has ended
-    when the generator returns or raises."""
+    (numpy releases the GIL inside each ufunc), importing concurrent.futures
+    only then. All are submitted at once: each task builds its own inputs and
+    sets its own thread state. Every thread has ended when the generator
+    returns or raises."""
     workers = min(2, _usable_cpus(), len(starts))
     if workers == 1:
         yield from map(task, starts)
         return
     from concurrent.futures import ThreadPoolExecutor
 
-    contexts = [contextvars.copy_context() for _ in starts]
     with ThreadPoolExecutor(workers) as pool:
-        yield from pool.map(contextvars.Context.run, contexts, repeat(task), starts)
+        yield from pool.map(task, starts)
 
 
 def sir_sweep(config: SweepConfig) -> list[SweepRecord]:
@@ -384,7 +380,9 @@ def sir_sweep(config: SweepConfig) -> list[SweepRecord]:
     chunk of _CHUNK_DRAWS draws is one task: draw it, solve it at every SIR
     point and reduce each column to exact parts. A sweep of two or more
     chunks runs them on two threads where two CPUs are usable; the parts are
-    merged in chunk order, so the records equal the serial ones."""
+    merged in chunk order, so the records equal the serial ones. Every task
+    runs under the caller's numpy error state, read once at the start."""
+    errstate = dict(np.geterr(), call=np.geterrcall())
     sirs = sir_points(config)
     params, gamma_max = config.params, config.params.gamma_max
     budgets = [transmit_budget(gamma_max, sir_db) for sir_db in sirs]
@@ -400,18 +398,19 @@ def sir_sweep(config: SweepConfig) -> list[SweepRecord]:
     def solve_chunk(start):
         """Per SIR point, the parts of c_ne, c_nj, c_no_eh, tau_ne, f and
         f_nj over the chunk at start; and its count of NJ-feasible draws."""
-        block = block_at(start)
-        gains = ChannelGains(block[:, 0], block[:, 1], block[:, 2])
-        batch = ChannelBatch(gains, params)  # one per task: threads share none
-        point_parts = []
-        for p_max in budgets:
-            ne, nj = batch.ne(p_max), batch.nj(p_max)
-            c_no_eh = capacity(p_max, 0.0, gamma_max, gains, params)
-            point_parts.append([_exact_parts(values) for values in (
-                ne.value, nj.value, c_no_eh, ne.tau,
-                metric_f(ne.value, c_no_eh), metric_fnj(ne.value, nj.value))])
-            del ne, nj, c_no_eh  # free this point before the next is solved
-        return point_parts, np.count_nonzero(batch.feasible)
+        with np.errstate(**errstate):
+            block = block_at(start)
+            gains = ChannelGains(block[:, 0], block[:, 1], block[:, 2])
+            batch = ChannelBatch(gains, params)  # one per task: threads share none
+            point_parts = []
+            for p_max in budgets:
+                ne, nj = batch.ne(p_max), batch.nj(p_max)
+                c_no_eh = capacity(p_max, 0.0, gamma_max, gains, params)
+                point_parts.append([_exact_parts(values) for values in (
+                    ne.value, nj.value, c_no_eh, ne.tau,
+                    metric_f(ne.value, c_no_eh), metric_fnj(ne.value, nj.value))])
+                del ne, nj, c_no_eh  # free this point before the next is solved
+            return point_parts, np.count_nonzero(batch.feasible)
 
     parts = [[[] for _ in range(6)] for _ in budgets]
     feasible = 0

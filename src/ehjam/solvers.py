@@ -303,9 +303,11 @@ class ChannelBatch:
     K = zeta*(ga2*n_b/gb2 - n_a), 0 when zeta == 0, is formed here, once.
     Where X = ga2*n_b/gb2 overflows but zeta > 0, K is formed from logarithms
     as zeta*X*(1 - n_a/X), so a tiny zeta can bring it back into range. The
-    line is +inf at every tau where gb2 == 0 (the jammer cannot reach the
-    receiver, so every power neutralizes, zeta == 0 included), +inf for tau >
-    0 where even that K overflows, and +0 at tau == 0 otherwise. feasible
+    line reads fmax(tau*K, floor), its floor +inf where gb2 == 0 (the jammer
+    cannot reach the receiver, so every power neutralizes, zeta == 0
+    included), 0 where even that K overflows, and -inf elsewhere: a 0*inf at
+    tau == 0 reads the floor, and every other lane tau*K (-0 at tau == 0
+    where K < 0, which p_threshold returns as +0). feasible
     (neutralization_feasible) marks where the jammer can be neutralized; the
     ceiling, +inf there and 0 elsewhere, zeroes the infeasible lanes of any x
     >= 0 of a shape that broadcasts with the gains, in any memory layout, as
@@ -326,8 +328,9 @@ class ChannelBatch:
                 zeta_x = np.exp(math.log(params.zeta) + log_x)
                 k = np.where(huge, zeta_x * (1.0 - params.n_a / np.exp(log_x)), k)
         self._unreached = gb2 == 0.0
-        self._origin = np.where(self._unreached, math.inf, 0.0)  # the line at tau = 0
         self._k = np.where(self._unreached, math.inf, np.where(params.zeta == 0.0, 0.0, k))
+        self._floor = np.where(self._unreached, math.inf,
+                               np.where(self._k == math.inf, 0.0, -math.inf))
         self.feasible = np.asarray(neutralization_feasible(gains, params))
         self._ceiling = np.where(self.feasible, math.inf, 0.0)
         self._taus = {}  # jamming power -> tau(p) of that fixed-power profile
@@ -335,8 +338,8 @@ class ChannelBatch:
     def _threshold(self, tau):
         """p_th(tau), unchecked: tau in [0, 1], broadcast against the gains'
         ga2 and gb2."""
-        with np.errstate(invalid="ignore"):  # 0*inf at tau == 0, not taken
-            line = np.where(tau == 0.0, self._origin, tau * self._k)
+        with np.errstate(invalid="ignore"):  # 0*inf at tau == 0 reads the floor
+            line = np.fmax(tau * self._k, self._floor)
         return float(line) if line.ndim == 0 else line
 
     def _sign(self, p, tau):
@@ -412,11 +415,12 @@ def p_threshold(tau, gains: ChannelGains, params: SystemParams):
     """Largest transmit power at which more jamming still helps the link,
     elementwise over tau in [0, 1] and gain arrays: ChannelBatch's line
     tau*K, so p_threshold(1) is its slope K (mW per unit tau), +inf where gb2
-    == 0 and 0 at tau == 0 otherwise."""
+    == 0 and +0 at tau == 0 otherwise. It never reads -0: adding +0.0 turns
+    the line's -0 at tau == 0, or where tau*K underflows, into +0."""
     t = np.asarray(tau, dtype=float)
     if not ((t >= 0.0) & (t <= 1.0)).all():
         raise ValueError("tau must lie in [0, 1]")
-    return ChannelBatch(gains, params)._threshold(t)
+    return ChannelBatch(gains, params)._threshold(t) + 0.0
 
 
 def jamming_sign(p, tau, gains: ChannelGains, params: SystemParams):

@@ -482,20 +482,27 @@ def test_sweep_is_the_same_on_one_two_and_four_cpus(tmp_path, monkeypatch, chunk
 
 
 def test_each_chunk_sees_the_callers_numpy_error_state(monkeypatch):
+    # both halves of the error state: the mode per kind and the call handler
     monkeypatch.setattr(experiments, "_CHUNK_DRAWS", 7)
     _set_usable_cpus(monkeypatch, {0, 1})
     seen, real = [], experiments._gain_block
 
     def gain_block(*args):
-        seen.append((np.geterr()["under"], threading.get_ident()))
+        seen.append((np.geterr()["under"], np.geterrcall(), threading.get_ident()))
         return real(*args)
 
+    def recorder(kind, flag):
+        pass
+
     monkeypatch.setattr(experiments, "_gain_block", gain_block)
-    with np.errstate(under="raise"):
-        sir_sweep(SweepConfig(-30.0, 10.0, 20.0, reference_params(), mc_draws=21))
-    assert len(seen) == 3
     main = threading.get_ident()
-    assert all(under == "raise" and ident != main for under, ident in seen)
+    for mode, call in (("raise", None), ("call", recorder)):
+        seen.clear()
+        with np.errstate(under=mode, call=call):
+            sir_sweep(SweepConfig(-30.0, 10.0, 20.0, reference_params(), mc_draws=21))
+        assert len(seen) == 3
+        assert all(under == mode and handler is call and ident != main
+                   for under, handler, ident in seen)
 
 
 def test_a_failing_chunk_raises_alike_and_no_thread_outlives_a_sweep(monkeypatch):
@@ -523,6 +530,29 @@ def test_a_failing_chunk_raises_alike_and_no_thread_outlives_a_sweep(monkeypatch
         sir_sweep(cfg)
         assert threading.active_count() == threads
     assert errors == [(RuntimeError, "the second chunk failed")] * 2
+
+
+def test_threads_sharing_one_channel_batch_get_the_serial_bytes():
+    # a ChannelBatch only caches what does not depend on P, so two threads
+    # solving every default budget on one fresh batch at once may at worst
+    # compute a profile twice, and read what one serial batch gives
+    gains = ChannelGains(*_gain_block(0, 0, 4096).T)
+    params = reference_params()
+    budgets = [transmit_budget(params.gamma_max, float(sir_db)) for sir_db in range(-30, 11)]
+
+    def solve(batch):
+        return [np.asarray(x, dtype=float).tobytes()
+                for p in budgets for x in (*batch.ne(p), *batch.nj(p))]
+
+    serial = solve(ChannelBatch(gains, params))
+    shared, start = ChannelBatch(gains, params), threading.Barrier(2)
+
+    def task(_):
+        start.wait()
+        return solve(shared)
+
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
+        assert list(pool.map(task, range(2))) == [serial, serial]
 
 
 # --- exact sums -------------------------------------------------------------

@@ -404,6 +404,59 @@ def test_threshold_at_zero_is_plus_zero_where_k_is_negative():
     assert nj.p.tobytes() == nj.tau.tobytes() == plus_zero
 
 
+_TAUS = (0.0, 5e-324, 0.5, 1.0)
+_PS = (0.0, -0.0, 1.0)
+
+
+@pytest.mark.parametrize("gains, params, line, signs", [
+    # gb2 == 0: +inf at every tau; the sign is that of tau*zeta*ga2, or -1
+    # where ga2 == 0 too (the link cannot be neutralized)
+    (ChannelGains(1.0, 1.0, 0.0), reference_params(), (math.inf,) * 4, ((0.0, 1.0),) * 3),
+    (ChannelGains(1.0, 1.0, 0.0), reference_params(zeta=0.0), (math.inf,) * 4,
+     ((0.0, 0.0),) * 3),
+    (ChannelGains(1.0, 0.0, 0.0), reference_params(), (math.inf,) * 4, ((-1.0, -1.0),) * 3),
+    (ChannelGains(1.0, 0.0, 0.0), reference_params(zeta=0.0), (math.inf,) * 4,
+     ((-1.0, -1.0),) * 3),
+    # K beyond the float range: +0 at tau == 0 and +inf at every tau > 0
+    (ChannelGains(1.0, 1.0, 1e-310), reference_params(), (0.0, math.inf, math.inf, math.inf),
+     ((0.0, 1.0), (0.0, 1.0), (-1.0, 1.0))),
+    # K = 1*(1*2/1 - 4) = -2: +0 at tau == 0, tau*K elsewhere; infeasible, so -1
+    (ChannelGains(1.0, 1.0, 1.0), SystemParams(4.0, 2.0, 1.0, 10.0, 1.0),
+     (0.0, -2 * 5e-324, -1.0, -2.0), ((-1.0, -1.0),) * 3),
+    # K = 0 (zeta == 0): +0 at every tau, so the sign is that of -p
+    (ChannelGains(1.0, 1.0, 0.2), reference_params(zeta=0.0), (0.0,) * 4,
+     ((0.0, 0.0), (0.0, 0.0), (-1.0, -1.0))),
+    # K = 1*(1*0.5/0.125 - 1) = 3: tau*K, and the sign of tau*K - p
+    (ChannelGains(1.0, 1.0, 0.125), SystemParams(1.0, 0.5, 1.0, 10.0, 1.0),
+     (0.0, 3 * 5e-324, 1.5, 3.0), ((0.0, 1.0), (0.0, 1.0), (-1.0, 1.0))),
+], ids=["unreached", "unreached-zeta0", "unreached-infeasible",
+        "unreached-infeasible-zeta0", "k-overflow", "k-negative", "k-zero", "k-positive"])
+def test_threshold_line_and_jamming_sign_bytes_on_every_kind_of_lane(gains, params, line,
+                                                                     signs):
+    # p_threshold at _TAUS and jamming_sign at _PS x (tau 0, 0.5), written out
+    # from the documented rules, bit for bit (the sign of zero included), for
+    # scalar and array arguments
+    bits = lambda x: np.asarray(x, dtype=float).tobytes()
+    assert bits(p_threshold(np.array(_TAUS), gains, params)) == bits(line)
+    for tau, want in zip(_TAUS, line):
+        assert bits(p_threshold(tau, gains, params)) == bits(want)
+    p, tau = np.array(_PS)[:, None], np.array([0.0, 0.5])
+    assert bits(jamming_sign(p, tau, gains, params)) == bits(signs)
+    for p, want in zip(_PS, signs):
+        for tau, sign in zip((0.0, 0.5), want):
+            assert bits(jamming_sign(p, tau, gains, params)) == bits(sign)
+
+
+def test_p_threshold_never_reads_minus_zero():
+    # K = 0.8*(0.01*0.2/1 - 0.1) < 0: tau*K is -0 at tau == 0 and where it
+    # underflows (tau = 5e-324), and p_threshold reads +0 at both
+    params = SystemParams(0.1, 0.2, 1.0, 10.0, 0.8)
+    gains = ChannelGains(1.0, 0.01, 1.0)
+    assert p_threshold(np.array([0.0, -0.0, 5e-324]), gains, params).tobytes() == \
+        np.zeros(3).tobytes()
+    assert np.float64(p_threshold(5e-324, gains, params)).tobytes() == np.zeros(1).tobytes()
+
+
 def test_lane_rules_hold_for_any_memory_layout():
     # the gb2 == 0 and infeasible lane rules broadcast per-lane arrays, so
     # Fortran-ordered 2-D gains, tau and p, strided columns of an (n, 3) block
