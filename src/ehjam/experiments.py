@@ -7,12 +7,13 @@ Reproducibility: channel draw `index` under `seed` is a pure function of
 evaluation order or chunking. One draw (sample_channels) is computed in
 Python ints and floats, bit-identical to the sweep's row; only sweeps import
 numpy.random, to draw whole chunks. Sweeps stream draws in fixed-size chunks
-(memory flat in the draw count); each chunk's values become a few floats with
-the same exact sum (ExtractVector: Rump, Ogita and Oishi, SIAM J. Sci.
-Comput. 31(1), 2008), so averages are exact fsums. Chunks are independent
-tasks: a sweep of two or more runs them on two threads where two CPUs are
-usable, and merges their parts in chunk order, so its records equal the
-serial ones.
+(memory flat in the draw count). Each per-draw column is keyed by the
+SweepRecord field that is its mean, and each chunk's column becomes a few
+floats with the same exact sum (ExtractVector: Rump, Ogita and Oishi, SIAM J.
+Sci. Comput. 31(1), 2008), so every such field is an exact mean. Chunks are
+independent tasks: a sweep of two or more runs them on two threads where two
+CPUs are usable, and sums their parts in chunk order, so its records equal
+the serial ones.
 """
 
 from __future__ import annotations
@@ -337,11 +338,24 @@ def _exact_parts(values) -> list[float]:
     return parts
 
 
-def _make_record(sir_db, parts, draws, nj_frac) -> SweepRecord:
-    """One SIR point's record from the parts of c_ne, c_nj, c_no_eh, tau_ne, f, f_nj."""
-    m_ne, m_nj, m_0, m_tau, m_f, m_fnj = (math.fsum(col) / draws for col in parts)
-    return SweepRecord(sir_db, m_ne, m_nj, m_0, metric_f(m_ne, m_0),
-                       metric_fnj(m_ne, m_nj), nj_frac, m_tau, m_f, m_fnj)
+def _point_columns(batch, p_max) -> dict:
+    """One SIR point's per-draw columns over batch at transmit budget p_max,
+    each keyed by the SweepRecord field that is its mean."""
+    ne, nj = batch.ne(p_max), batch.nj(p_max)
+    c_no_eh = capacity(p_max, 0.0, batch.params.gamma_max, batch.gains, batch.params)
+    return {"c_ne": ne.value, "c_nj": nj.value, "c_no_eh": c_no_eh, "tau_ne_mean": ne.tau,
+            "f_ratio_mean": metric_f(ne.value, c_no_eh),
+            "f_nj_ratio_mean": metric_fnj(ne.value, nj.value)}
+
+
+def _make_record(sir_db, chunks, draws) -> SweepRecord:
+    """One SIR point's record from its chunks' parts, keyed by field name: each
+    field is the exact sum of its parts divided by draws, and f and f_nj are the
+    ratios of those means. A key that is not a field raises TypeError."""
+    means = {name: math.fsum(part for chunk in chunks for part in chunk[name]) / draws
+             for name in chunks[0]}
+    return SweepRecord(sir_db=sir_db, f=metric_f(means["c_ne"], means["c_no_eh"]),
+                       f_nj=metric_fnj(means["c_ne"], means["c_nj"]), **means)
 
 
 def _usable_cpus() -> int:
@@ -375,17 +389,17 @@ def sir_sweep(config: SweepConfig) -> list[SweepRecord]:
     """One SweepRecord per SIR point, ascending.
 
     Monte Carlo mode draws mc_draws channels (indices 0..mc_draws-1 under
-    rng_seed, shared by all SIR points) and averages the capacities before
-    taking the efficiency ratios; fixed gains are the one-draw case. Each
-    chunk of _CHUNK_DRAWS draws is one task: draw it, solve it at every SIR
-    point and reduce each column to exact parts. A sweep of two or more
-    chunks runs them on two threads where two CPUs are usable; the parts are
-    merged in chunk order, so the records equal the serial ones. Every task
-    runs under the caller's numpy error state, read once at the start."""
+    rng_seed, shared by all SIR points); fixed gains are the one-draw case.
+    Each averaged field is the exact mean of the per-draw column of that name
+    (_point_columns); f and f_nj are ratios of those means. Each chunk of
+    _CHUNK_DRAWS draws is one task, which solves it at every SIR point and
+    reduces each column to exact parts; two or more chunks run on two threads
+    where two CPUs are usable, and their parts are summed in chunk order, so
+    the records equal the serial ones. Every task runs under the caller's
+    numpy error state, read once at the start."""
     errstate = dict(np.geterr(), call=np.geterrcall())
     sirs = sir_points(config)
-    params, gamma_max = config.params, config.params.gamma_max
-    budgets = [transmit_budget(gamma_max, sir_db) for sir_db in sirs]
+    budgets = [transmit_budget(config.params.gamma_max, sir_db) for sir_db in sirs]
     if config.fixed_gains is not None:
         g = config.fixed_gains
         draws = 1
@@ -396,32 +410,18 @@ def sir_sweep(config: SweepConfig) -> list[SweepRecord]:
                                              min(_CHUNK_DRAWS, draws - start))
 
     def solve_chunk(start):
-        """Per SIR point, the parts of c_ne, c_nj, c_no_eh, tau_ne, f and
-        f_nj over the chunk at start; and its count of NJ-feasible draws."""
+        """Per SIR point, the exact parts of each column over the chunk at
+        start, by field name; all points share the chunk's NJ-feasible count."""
         with np.errstate(**errstate):
             block = block_at(start)
             gains = ChannelGains(block[:, 0], block[:, 1], block[:, 2])
-            batch = ChannelBatch(gains, params)  # one per task: threads share none
-            point_parts = []
-            for p_max in budgets:
-                ne, nj = batch.ne(p_max), batch.nj(p_max)
-                c_no_eh = capacity(p_max, 0.0, gamma_max, gains, params)
-                point_parts.append([_exact_parts(values) for values in (
-                    ne.value, nj.value, c_no_eh, ne.tau,
-                    metric_f(ne.value, c_no_eh), metric_fnj(ne.value, nj.value))])
-                del ne, nj, c_no_eh  # free this point before the next is solved
-            return point_parts, np.count_nonzero(batch.feasible)
+            batch = ChannelBatch(gains, config.params)  # one per task: threads share none
+            feasible = {"nj_feasible_fraction": [float(np.count_nonzero(batch.feasible))]}
+            return [{name: _exact_parts(column) for name, column in
+                     _point_columns(batch, p_max).items()} | feasible for p_max in budgets]
 
-    parts = [[[] for _ in range(6)] for _ in budgets]
-    feasible = 0
-    for point_parts, chunk_feasible in _map_in_order(solve_chunk,
-                                                     range(0, draws, _CHUNK_DRAWS)):
-        feasible += chunk_feasible
-        for cols, chunk_cols in zip(parts, point_parts):
-            for col, chunk_col in zip(cols, chunk_cols):
-                col += chunk_col
-    return [_make_record(sir_db, cols, draws, feasible / draws)
-            for sir_db, cols in zip(sirs, parts)]
+    chunks = list(_map_in_order(solve_chunk, range(0, draws, _CHUNK_DRAWS)))
+    return [_make_record(sir_db, point, draws) for sir_db, point in zip(sirs, zip(*chunks))]
 
 
 def _config_echo(config: SweepConfig) -> list[str]:

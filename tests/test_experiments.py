@@ -7,6 +7,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -399,6 +400,36 @@ def test_sweep_bytes_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, chun
     write_csv(sir_sweep(cfg), chunked, cfg)
     assert chunked.read_bytes() == whole.read_bytes()
 
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_each_record_field_is_the_exact_mean_of_its_own_column(monkeypatch, chunk):
+    # the reference solves one batch of all the draws and names each column
+    # itself, so a record field read from another column fails by name; a
+    # chunk of 7 runs the threaded path where two CPUs are usable
+    if chunk is not None:
+        monkeypatch.setattr(experiments, "_CHUNK_DRAWS", chunk)
+    draws, params = 1001, reference_params()
+    cfg = SweepConfig(-30.0, 10.0, 10.0, params, mc_draws=draws, rng_seed=11)
+    block = _gain_block(11, 0, draws)
+    gains = ChannelGains(block[:, 0], block[:, 1], block[:, 2])
+    batch = ChannelBatch(gains, params)
+    records = sir_sweep(cfg)
+    assert [r.sir_db for r in records] == [-30.0, -20.0, -10.0, 0.0, 10.0]
+    for rec in records:
+        p_max = transmit_budget(params.gamma_max, rec.sir_db)
+        ne, nj = batch.ne(p_max), batch.nj(p_max)
+        c_no_eh = capacity(p_max, 0.0, params.gamma_max, gains, params)
+        mean = lambda column: math.fsum(column) / draws
+        c_ne, c_nj, c_0 = mean(ne.value), mean(nj.value), mean(c_no_eh)
+        assert asdict(rec) == {
+            "sir_db": rec.sir_db, "c_ne": c_ne, "c_nj": c_nj, "c_no_eh": c_0,
+            "f": metric_f(c_ne, c_0), "f_nj": metric_fnj(c_ne, c_nj),
+            "nj_feasible_fraction": mean(batch.feasible.astype(float)),
+            "tau_ne_mean": mean(ne.tau),
+            "f_ratio_mean": mean(metric_f(ne.value, c_no_eh)),
+            "f_nj_ratio_mean": mean(metric_fnj(ne.value, nj.value)),
+        }
 
 def test_tau_profiles_are_solved_once_per_chunk(monkeypatch):
     calls = []
