@@ -29,7 +29,6 @@ import numpy as np
 from .model import (
     ChannelGains,
     SystemParams,
-    capacity,
     db_to_linear,
     linear_to_db,
 )
@@ -61,45 +60,46 @@ _CHUNK_DRAWS = 3 * 2**13
 _MAX_SIR_POINTS = 100_000
 
 #: Wichura's AS241 PPND16 (Appl. Stat. 37(3), 1988): coefficients, highest
-#: degree first, numerator + 1j*denominator, of the normal quantile's
+#: degree first, (numerator, denominator), of the normal quantile's
 #: rationals for |u - 0.5| <= 0.425 in r = 0.180625 - (u - 0.5)^2, then in
 #: r = sqrt(-log(min(u, 1 - u))) for r <= 5 (in r - 1.6) and beyond (in r - 5).
-_AS241_CENTRAL = tuple(map(
-    complex,
+_AS241_CENTRAL = (
     (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
      4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
      1.3314166789178437745e+2, 3.3871328727963666080e+0),
     (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
      2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
-     4.2313330701600911252e+1, 1.0)))
-_AS241_TAIL = tuple(map(
-    complex,
+     4.2313330701600911252e+1, 1.0))
+_AS241_TAIL = (
     (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
      1.27045825245236838258e+0, 3.64784832476320460504e+0, 5.76949722146069140550e+0,
      4.63033784615654529590e+0, 1.42343711074968357734e+0),
     (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
      1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e+0,
-     2.05319162663775882187e+0, 1.0)))
-_AS241_FAR = tuple(map(
-    complex,
+     2.05319162663775882187e+0, 1.0))
+_AS241_FAR = (
     (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
      2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e+0,
      5.46378491116411436990e+0, 6.65790464350110377720e+0),
     (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
      7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
-     5.99832206555887937690e-1, 1.0)))
+     5.99832206555887937690e-1, 1.0))
 
 
 def _rational(coefficients, r):
-    """(numerator, denominator) of a rational in real r by Horner's rule, run
-    once on numerator + 1j*denominator: multiplying by a real r and adding a
-    constant act on each part alone, exactly, at half the numpy calls."""
-    acc = coefficients[0] * r
-    for c in coefficients[1:-1]:
-        acc += c
-        acc *= r
-    acc += coefficients[-1]
-    return acc.real, acc.imag
+    """[numerator, denominator] of a rational in real r, each by Horner's rule
+    in real arithmetic (accumulated in place when r is an array): the same float
+    operations for a Python float and an array, so _ndtri_one and _ndtri agree
+    bit for bit."""
+    out = []
+    for poly in coefficients:
+        acc = poly[0] * r
+        for c in poly[1:-1]:
+            acc += c
+            acc *= r
+        acc += poly[-1]
+        out.append(acc)
+    return out
 
 
 def _ndtri_one(u: float) -> float:
@@ -132,7 +132,7 @@ def _ndtri(u):
     num, den = _rational(_AS241_CENTRAL, 0.180625 - q * q)
     x = q * num
     x /= den
-    del num, den  # a complex array twice the size of u
+    del num, den  # two arrays the size of u, freed before the tail's
     tail = np.flatnonzero(np.abs(q) > 0.425)
     if tail.size:
         with np.errstate(divide="ignore", invalid="ignore"):  # u in {0, 1}: r is inf
@@ -209,16 +209,23 @@ def sample_channels(seed: int, index: int) -> ChannelGains:
 
 
 def _relative_gain(c_ref, c_other, other_name: str):
+    """(ref - other)/ref elementwise, floored at 0: 0 where ref == 0, nan where
+    ref is infinite. Checked by reductions: the minima of ref and other for the
+    signs (a nan fails them), then the zero-reference lanes, masked only where
+    some ref is 0, then the fmin of the ratios for dominance."""
     ref = np.asarray(c_ref, dtype=float)
     other = np.asarray(c_other, dtype=float)
-    if not (np.all(ref >= 0.0) and np.all(other >= 0.0)):
+    ref_min = np.minimum.reduce(ref, axis=None, initial=math.inf)
+    if not (ref_min >= 0.0 and np.minimum.reduce(other, axis=None, initial=math.inf) >= 0.0):
         raise ValueError("capacities must be >= 0")
-    if np.any((ref == 0.0) & (other > 0.0)):
-        raise ValueError(f"{other_name} > 0 with zero reference capacity")
     with np.errstate(invalid="ignore", divide="ignore"):
         r = (ref - other) / ref
-    r = np.where(ref == 0.0, 0.0, r)
-    if np.any(r < -DOMINANCE_TOL):
+    if ref_min == 0.0:
+        zero = ref == 0.0
+        if np.any(zero & (other > 0.0)):
+            raise ValueError(f"{other_name} > 0 with zero reference capacity")
+        r = np.where(zero, 0.0, r)
+    if np.fmin.reduce(r, axis=None, initial=math.inf) < -DOMINANCE_TOL:
         raise ValueError(f"{other_name} exceeds the reference capacity")
     out = np.maximum(r, 0.0)
     return float(out) if np.ndim(out) == 0 else out
@@ -324,17 +331,20 @@ def _exact_parts(values) -> list[float]:
     order; repeat on a - q until it is 0. Where sigma would overflow or a
     value is not finite, the values are handed on as they are.
     """
-    a = np.asarray(values, dtype=float).ravel()
+    a = np.array(values, dtype=float).ravel()  # a copy, reduced in place
+    q = np.empty_like(a)
     parts = []
     bits = math.frexp(a.size + 2.0)[1]
-    while a.size and (top := float(np.max(np.abs(a)))) != 0.0:
+    while a.size and (top := max(float(np.maximum.reduce(a)),
+                                 -float(np.minimum.reduce(a)))) != 0.0:
         exponent = math.frexp(top)[1] + bits
         if not math.isfinite(top) or exponent > 1023:
             return parts + a.tolist()
         sigma = math.ldexp(1.0, exponent)
-        q = (sigma + a) - sigma
-        parts.append(float(np.sum(q)))
-        a = a - q
+        np.add(a, sigma, out=q)
+        q -= sigma
+        parts.append(float(np.add.reduce(q)))
+        a -= q
     return parts
 
 
@@ -342,7 +352,7 @@ def _point_columns(batch, p_max) -> dict:
     """One SIR point's per-draw columns over batch at transmit budget p_max,
     each keyed by the SweepRecord field that is its mean."""
     ne, nj = batch.ne(p_max), batch.nj(p_max)
-    c_no_eh = capacity(p_max, 0.0, batch.params.gamma_max, batch.gains, batch.params)
+    c_no_eh = batch.no_eh(p_max)
     return {"c_ne": ne.value, "c_nj": nj.value, "c_no_eh": c_no_eh, "tau_ne_mean": ne.tau,
             "f_ratio_mean": metric_f(ne.value, c_no_eh),
             "f_nj_ratio_mean": metric_fnj(ne.value, nj.value)}

@@ -28,6 +28,7 @@ __all__ = [
     "StrategyProfile",
     "SystemParams",
     "capacity",
+    "capacity_from_factors",
     "db_to_linear",
     "linear_to_db",
     "log1p_snr",
@@ -174,15 +175,30 @@ def snr_factors(p, gamma, gains: ChannelGains, params: SystemParams):
 def log1p_snr(x, h2, den):
     """ln(1 + x*h2/den) elementwise. h2/den is formed first, since x*h2
     overflows for gains near 1e160; where the SNR or h2/den leaves the float
-    range, the log is summed from logarithms."""
+    range, the log is summed from logarithms. One max finds such lanes (it
+    propagates nan), so their mask is built only when there are some."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         snr = x * (h2 / den)
         out = np.log1p(snr)
-        over = ~np.isfinite(snr)
-        if over.any():
+        if not np.isfinite(np.maximum.reduce(snr, axis=None, initial=-math.inf)):
+            over = ~np.isfinite(snr)
             log_snr = np.log(x) + np.log(h2) - np.log(den)
             out = np.where(over, np.logaddexp(0.0, log_snr), out)
     return out
+
+
+def capacity_from_factors(p, lead, den, tau, h2):
+    """capacity at tau, elementwise and unchecked, from (p, lead, den) =
+    snr_factors(p, gamma, gains, params) and h2 = gains.h2: the one capacity
+    formula, for callers whose inputs are valid by construction. tau must lie
+    in [0, 1], as a float or a float array; tau == 1 yields 0."""
+    remain = 1.0 - tau
+    num, den = p + tau * lead, remain * den
+    with np.errstate(invalid="ignore"):  # the remain == 0 lanes, set below
+        c = remain / 2.0 * log1p_snr(num, h2, den) / _LN2
+    if not np.logical_and.reduce(remain, axis=None):  # some remain == 0
+        c = np.where(remain == 0.0, 0.0, c)
+    return c
 
 
 def capacity(p, tau, gamma, gains: ChannelGains, params: SystemParams):
@@ -191,19 +207,15 @@ def capacity(p, tau, gamma, gains: ChannelGains, params: SystemParams):
     The transmit slice lasts a fraction (1 - tau) of the cycle; both the
     budgeted power and the harvested power are concentrated into it, while
     the prefactor (1 - tau)/2 charges for the lost airtime. tau == 1 is
-    accepted and yields 0 by continuity.
+    accepted and yields 0 by continuity. This is the checked boundary: it
+    validates p, tau and gamma, then runs capacity_from_factors.
     """
     _check_nonneg("p", p)
     _check_nonneg("gamma", gamma)
     if not (((t := np.asarray(tau)) >= 0.0) & (t <= 1.0)).all():
         raise ValueError("tau must lie in [0, 1]")
-    remain = 1.0 - np.asarray(tau, dtype=float)
-    p, lead, den = snr_factors(p, gamma, gains, params)
-    num, den = p + tau * lead, remain * den
-    del lead  # a draw-sized factor: free it before the log's temporaries
-    with np.errstate(invalid="ignore"):  # the remain == 0 lanes, set below
-        c = remain / 2.0 * log1p_snr(num, gains.h2, den) / _LN2
-    out = np.where(remain == 0.0, 0.0, c)
+    out = capacity_from_factors(*snr_factors(p, gamma, gains, params),
+                                np.asarray(tau, dtype=float), gains.h2)
     return float(out) if np.ndim(out) == 0 else out
 
 

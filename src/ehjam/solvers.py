@@ -38,6 +38,7 @@ from .model import (
     StrategyProfile,
     SystemParams,
     capacity,
+    capacity_from_factors,
     log1p_snr,
     neutralization_feasible,
     snr_factors,
@@ -192,7 +193,9 @@ def _profile_tau(profile: FixedPower | OnThreshold, gains: ChannelGains,
                  params: SystemParams):
     """tau(p): the optimal tau of a tau-profile, elementwise, at transmit term p
     (by default the profile's own); beta = lead*h2/den and s(beta) are
-    computed once, here (gb2 == 0 on the threshold profile gives tau 0).
+    computed once, here (gb2 == 0 on the threshold profile gives tau 0). The
+    profile's lead and den ride on tau(p) as its attributes, so capacity along
+    the profile (capacity_from_factors) needs no second snr_factors.
 
     Where lead*h2/den overflows, beta is expm1(L) with L = ln(1 + beta) from
     log1p_snr (h2/den alone may overflow while beta is near 1); beyond the
@@ -220,6 +223,7 @@ def _profile_tau(profile: FixedPower | OnThreshold, gains: ChannelGains,
             tau = _optimal_tau(np.where(over, ratio * beta, alpha), beta, s)
             tau_huge = np.clip((1.0 - ratio * w) / (1.0 + w), 0.0, TAU_LIMIT)
         return np.where(over & np.isinf(beta), tau_huge, tau)
+    tau.lead, tau.den = lead, den
     return tau
 
 
@@ -311,11 +315,14 @@ class ChannelBatch:
     (neutralization_feasible) marks where the jammer can be neutralized; the
     ceiling, +inf there and 0 elsewhere, zeroes the infeasible lanes of any x
     >= 0 of a shape that broadcasts with the gains, in any memory layout, as
-    np.minimum(x, ceiling). _threshold and _sign read the line unchecked;
-    p_threshold and jamming_sign are their checked one-shot calls. What does
-    not depend on P is kept from first use, so that each budget pays only for
-    what does: each tau-profile's beta and s(beta), and t_hat, which only nj
-    reads."""
+    np.minimum(x, ceiling); both are formed on first use, which p_threshold
+    never makes. _threshold and _sign read the line unchecked; p_threshold and
+    jamming_sign are their checked one-shot calls. What does not depend on P
+    is kept from first use, so that each budget pays only for what does: each
+    jamming power's snr_factors, tau-profile beta and s(beta), and t_hat,
+    which only nj reads. ne, nj and no_eh take their capacities from those
+    factors through capacity_from_factors, unchecked: their p and tau are
+    valid by construction."""
 
     def __init__(self, gains: ChannelGains, params: SystemParams):
         self.gains, self.params = gains, params
@@ -331,9 +338,17 @@ class ChannelBatch:
         self._k = np.where(self._unreached, math.inf, np.where(params.zeta == 0.0, 0.0, k))
         self._floor = np.where(self._unreached, math.inf,
                                np.where(self._k == math.inf, 0.0, -math.inf))
-        self.feasible = np.asarray(neutralization_feasible(gains, params))
-        self._ceiling = np.where(self.feasible, math.inf, 0.0)
         self._taus = {}  # jamming power -> tau(p) of that fixed-power profile
+
+    @cached_property
+    def feasible(self):
+        """neutralization_feasible of the gains: where the jammer can be silenced."""
+        return np.asarray(neutralization_feasible(self.gains, self.params))
+
+    @cached_property
+    def _ceiling(self):
+        """+inf where feasible, 0 elsewhere."""
+        return np.where(self.feasible, math.inf, 0.0)
 
     def _threshold(self, tau):
         """p_th(tau), unchecked: tau in [0, 1], broadcast against the gains'
@@ -351,16 +366,20 @@ class ChannelBatch:
         if self._unreached.any():
             sign = np.where(self._unreached, np.sign(tau * self.params.zeta * self.gains.ga2),
                             sign)
-        sign = np.minimum(sign, self._ceiling - 1.0)  # -1 where infeasible
+        if np.maximum.reduce(sign, axis=None, initial=-1.0) >= 0.0:  # only 0 and +1 lanes change
+            sign = np.minimum(sign, self._ceiling - 1.0)  # -1 where infeasible
         return float(sign) if sign.ndim == 0 else sign
 
-    def _fixed_power_tau(self, p_max, gamma):
+    def _profile(self, p_max, gamma):
+        """tau(p) of the fixed-power profile at jamming power gamma, p the
+        transmit term p_max/snr_scale(gamma), with that power's lead and den;
+        formed on first use."""
         if not 0.0 < p_max < math.inf:
             raise ValueError("p_max must be positive and finite")
         if gamma not in self._taus:
             self._taus[gamma] = _profile_tau(FixedPower(p_max, gamma), self.gains,
                                              self.params)
-        return self._taus[gamma](p_max / snr_scale(gamma))
+        return self._taus[gamma]
 
     @cached_property
     def _t_hat(self):
@@ -369,10 +388,19 @@ class ChannelBatch:
 
     def ne(self, p_max: float) -> NEArrays:
         """Full-power operating point: both budgets spent, tau optimal for them."""
-        gains, params, gamma = self.gains, self.params, self.params.gamma_max
-        tau = self._fixed_power_tau(p_max, gamma)
-        value = capacity(p_max, tau, gamma, gains, params)
+        gamma = self.params.gamma_max
+        full, p = self._profile(p_max, gamma), p_max / snr_scale(gamma)
+        tau = full(p)
+        value = capacity_from_factors(p, full.lead, full.den, tau, self.gains.h2)
         return NEArrays(tau, value, self._sign(p_max, tau) <= 0.0)
+
+    def no_eh(self, p_max: float):
+        """capacity(p_max, 0, gamma_max), the no-harvesting baseline, from the
+        full-power profile's den: at tau == 0, capacity_from_factors has remain
+        1 and num p' exactly, so this is its value bit for bit."""
+        gamma = self.params.gamma_max
+        full = self._profile(p_max, gamma)
+        return 0.5 * log1p_snr(p_max / snr_scale(gamma), self.gains.h2, full.den) / math.log(2.0)
 
     def nj(self, p_max: float) -> NJArrays:
         """Neutralizing optimum; infeasible links get value 0 and a zero strategy.
@@ -390,7 +418,8 @@ class ChannelBatch:
         P; a subnormal t1*K misses P by under half its spacing. A t_tilde > t0
         is >= t1, and rounding is monotone. Only those short lanes are stepped."""
         feasible, ceiling = self.feasible, self._ceiling
-        t_tilde = self._fixed_power_tau(p_max, 0.0)
+        silent = self._profile(p_max, 0.0)
+        t_tilde = silent(p_max)  # snr_scale(0) == 1
         with np.errstate(divide="ignore", over="ignore"):  # an inf kink is exact
             p_inv = np.divide(p_max, self._k)
         t_hat = self._t_hat
@@ -406,7 +435,7 @@ class ChannelBatch:
         if short.size:
             np.put(tau, short, np.nextafter(tau.flat[short], 1.0))
             np.put(p, short, p_max)
-        value = capacity(p, tau, 0.0, self.gains, self.params)
+        value = capacity_from_factors(p, silent.lead, silent.den, tau, self.gains.h2)
         regime = (2 - (p_inv > 1.0) + beyond) * feasible  # 0 infeasible, 1 case a, 2 or 3
         return NJArrays(p, tau, value, regime)
 

@@ -195,6 +195,71 @@ def test_metrics_vectorized():
     assert np.allclose(out, [1.0, 0.75, 0.0], rtol=0, atol=1e-15)
 
 
+def _relative_gain_by_masks(c_ref, c_other, other_name):
+    """The metrics' rule by whole-array masks and checks, as it read before it
+    was checked by reductions: the reference for test_metrics_match_the_mask_rule."""
+    ref = np.asarray(c_ref, dtype=float)
+    other = np.asarray(c_other, dtype=float)
+    if not (np.all(ref >= 0.0) and np.all(other >= 0.0)):
+        raise ValueError("capacities must be >= 0")
+    if np.any((ref == 0.0) & (other > 0.0)):
+        raise ValueError(f"{other_name} > 0 with zero reference capacity")
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = (ref - other) / ref
+    r = np.where(ref == 0.0, 0.0, r)
+    if np.any(r < -experiments.DOMINANCE_TOL):
+        raise ValueError(f"{other_name} exceeds the reference capacity")
+    out = np.maximum(r, 0.0)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+_TOL = experiments.DOMINANCE_TOL
+_CAPACITIES = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-9, 0.3,
+                               1.0, 7.5, 1e300, math.inf, math.nan, -1e-300, -1.0])
+# other as a function of ref: free, equal, or at and around -+DOMINANCE_TOL of it
+_OTHER_RULES = st.sampled_from([
+    None, lambda r: r, lambda r: r * (1.0 + _TOL), lambda r: r * (1.0 - _TOL),
+    lambda r: np.nextafter(r * (1.0 + _TOL), math.inf),
+    lambda r: np.nextafter(r * (1.0 + _TOL), -math.inf), lambda r: r * 0.5, lambda r: 0.0])
+
+
+@st.composite
+def _capacity_pairs(draw):
+    ref = draw(st.lists(_CAPACITIES, max_size=12))
+    other = [draw(_CAPACITIES) if (rule := draw(_OTHER_RULES)) is None else float(rule(r))
+             for r in ref]
+    if draw(st.booleans()) and ref:  # the 0-d case, as floats
+        return ref[0], other[0]
+    return np.array(ref, dtype=float), np.array(other, dtype=float)
+
+
+def _outcome(metric, *args):
+    """(type, bytes) of metric's result, or (exception type, message), with the
+    warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = metric(*args)
+            result = type(out), np.asarray(out).tobytes()
+        except ValueError as exc:
+            result = type(exc), str(exc)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(pair=_capacity_pairs())
+@example(pair=(np.array([]), np.array([])))
+@example(pair=(np.array([-0.0, 1.0]), np.array([0.5, 1.0])))
+@example(pair=(np.array([0.0, 1.0]), np.array([0.0, 2.0])))
+@example(pair=(np.array([math.inf, 1.0]), np.array([math.inf, 0.5])))
+def test_metrics_match_the_mask_rule(pair):
+    # same bytes, nan lanes included, and the same error in the same order
+    ref, other = pair
+    for metric, name in ((metric_f, "c_no_eh"), (metric_fnj, "c_nj")):
+        assert _outcome(metric, ref, other) == _outcome(_relative_gain_by_masks, ref, other,
+                                                        name)
+
+
 # --- sweep configuration ----------------------------------------------------
 
 def test_sweep_config_validation():
@@ -447,6 +512,19 @@ def test_tau_profiles_are_solved_once_per_chunk(monkeypatch):
         assert len(calls) == 3 * math.ceil(draws / chunk)
 
 
+def test_a_sweep_never_calls_the_checked_capacity(monkeypatch):
+    # the batch forms every capacity from its own factors, unchecked; the
+    # checked capacity is the boundary for callers outside the sweep
+    calls = []
+    from ehjam import model
+
+    for module in (model, solvers, experiments):
+        if hasattr(module, "capacity"):
+            monkeypatch.setattr(module, "capacity", lambda *a: calls.append(a))
+    records = sir_sweep(SweepConfig(-30.0, 10.0, 1.0, reference_params(), mc_draws=10_000))
+    assert len(records) == 41 and calls == []
+
+
 def test_sweep_memory_is_flat_in_draws():
     def peak(draws):
         cfg = SweepConfig(0.0, 0.0, 1.0, reference_params(), mc_draws=draws, rng_seed=1)
@@ -616,8 +694,9 @@ def test_exact_parts_sum_to_the_bits_of_fsum(seed, n, hi, span, zeros, special, 
         a[rng.integers(0, n, 3)] = special
     if n and edge is not None:
         a[rng.integers(0, n)] = math.ldexp(rng.choice([-0.75, 0.75]), edge)
-    whole = _fsum_bits(a.tolist())
+    whole, given = _fsum_bits(a.tolist()), a.tobytes()
     assert _fsum_bits(_exact_parts(a)) == whole
+    assert a.tobytes() == given  # the values are copied, not reduced in place
     chunks = np.split(a, np.sort(rng.integers(0, n + 1, splits)))
     if not isinstance(whole, type):  # fsum's overflow depends on the order
         assert _fsum_bits([x for c in chunks for x in _exact_parts(c)]) == whole

@@ -437,7 +437,7 @@ def test_channel_batch_reused_across_budgets_matches_fresh_solves():
 @pytest.mark.parametrize("p_max", [0.0, -1.0, np.inf, np.nan])
 def test_channel_batch_rejects_a_budget_outside_the_float_range(p_max):
     batch = ChannelBatch(ChannelGains(1.0, 1.0, 0.2), reference_params())
-    for solve in (batch.ne, batch.nj):
+    for solve in (batch.ne, batch.nj, batch.no_eh):
         with pytest.raises(ValueError, match="p_max must be positive and finite"):
             solve(p_max)
 
@@ -454,7 +454,52 @@ def test_channel_batch_forms_each_fixed_power_profile_once(monkeypatch):
         p_max = params_at_sir(sir_db).p_max
         batch.ne(p_max)
         batch.nj(p_max)
+        batch.no_eh(p_max)
     assert sorted(calls) == [0.0, reference_params().gamma_max]
+
+
+def test_feasibility_is_formed_only_where_it_is_read(monkeypatch):
+    # p_threshold reads only the line; ne reads feasibility only where the
+    # jammer's sign is not already -1 (the infeasible rule lowers 0 and +1 to
+    # -1); nj forms it once per batch, at its first budget
+    calls = []
+    real = solvers.neutralization_feasible
+    monkeypatch.setattr(solvers, "neutralization_feasible",
+                        lambda *a: calls.append(1) or real(*a))
+    gains = ChannelGains(np.array([1.0, 0.3, 1.0, 0.2]), np.array([1.0, 2.0, 1.0, 0.2]),
+                         np.array([0.2, 1.5, 0.5, 1.0]))  # the last link is infeasible
+    params = params_at_sir(10.0)
+    p_threshold(np.array([0.0, 0.5, 1.0, 0.25]), gains, params)
+    solve_ne(ChannelGains(1.0, 1.0, 0.2), params)
+    batch = ChannelBatch(gains, params)
+    ne = batch.ne(params.p_max)
+    assert ne.stable.all() and calls == []
+    for sir_db in (-30.0, 0.0, 10.0):
+        batch.nj(params_at_sir(sir_db).p_max)
+    assert len(calls) == 1
+
+
+_EDGE_GAINS = (0.0, 5e-324, 1e-310, 0.2, 1.0, 1e12, 1e160, 1e300)
+
+
+@pytest.mark.parametrize("zeta", [0.0, 0.5, 1.0])
+def test_channel_batch_values_are_the_checked_capacity_bit_for_bit(zeta):
+    # ne, nj and no_eh evaluate capacity_from_factors on the batch's own
+    # factors; the checked capacity forms them afresh from the same inputs,
+    # over every combination of zero, subnormal, ordinary, >= 1e12 and
+    # overflow-rescue gains
+    h2, ga2, gb2 = (g.ravel() for g in np.meshgrid(_EDGE_GAINS, _EDGE_GAINS, _EDGE_GAINS))
+    gains = ChannelGains(h2, ga2, gb2)
+    params = reference_params(zeta=zeta)
+    batch = ChannelBatch(gains, params)
+    for sir_db in (-30.0, -10.0, 0.0, 10.0):
+        p_max = params_at_sir(sir_db).p_max
+        ne, nj = batch.ne(p_max), batch.nj(p_max)
+        pairs = ((ne.value, capacity(p_max, ne.tau, params.gamma_max, gains, params)),
+                 (nj.value, capacity(nj.p, nj.tau, 0.0, gains, params)),
+                 (batch.no_eh(p_max), capacity(p_max, 0.0, params.gamma_max, gains, params)))
+        for got, checked in pairs:
+            assert got.tobytes() == checked.tobytes()
 
 
 def test_channel_batch_builds_one_threshold_line_per_chunk():
