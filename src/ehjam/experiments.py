@@ -218,7 +218,7 @@ def _relative_gain(c_ref, c_other, other_name: str):
     ref_min = np.minimum.reduce(ref, axis=None, initial=math.inf)
     if not (ref_min >= 0.0 and np.minimum.reduce(other, axis=None, initial=math.inf) >= 0.0):
         raise ValueError("capacities must be >= 0")
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         r = (ref - other) / ref
     if ref_min == 0.0:
         zero = ref == 0.0

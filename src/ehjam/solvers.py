@@ -319,10 +319,11 @@ class ChannelBatch:
     never makes. _threshold and _sign read the line unchecked; p_threshold and
     jamming_sign are their checked one-shot calls. What does not depend on P
     is kept from first use, so that each budget pays only for what does: each
-    jamming power's snr_factors, tau-profile beta and s(beta), and t_hat,
-    which only nj reads. ne, nj and no_eh take their capacities from those
-    factors through capacity_from_factors, unchecked: their p and tau are
-    valid by construction."""
+    jamming power's snr_factors and snr_scale, tau-profile beta and s(beta),
+    and t_hat, which only nj reads. A transmit power p enters a fixed-power
+    profile and its capacity as p/snr_scale(gamma); the kink and threshold stay
+    in mW. ne, nj and no_eh take their capacities through capacity_from_factors,
+    unchecked: their p and tau are valid by construction."""
 
     def __init__(self, gains: ChannelGains, params: SystemParams):
         self.gains, self.params = gains, params
@@ -371,14 +372,14 @@ class ChannelBatch:
         return float(sign) if sign.ndim == 0 else sign
 
     def _profile(self, p_max, gamma):
-        """tau(p) of the fixed-power profile at jamming power gamma, p the
-        transmit term p_max/snr_scale(gamma), with that power's lead and den;
-        formed on first use."""
+        """(tau(p), snr_scale(gamma)) of the fixed-power profile at jamming power
+        gamma, formed on first use: a transmit power p enters tau(p), whose lead
+        and den are its attributes, and capacity_from_factors as p/snr_scale(gamma)."""
         if not 0.0 < p_max < math.inf:
             raise ValueError("p_max must be positive and finite")
         if gamma not in self._taus:
-            self._taus[gamma] = _profile_tau(FixedPower(p_max, gamma), self.gains,
-                                             self.params)
+            self._taus[gamma] = (_profile_tau(FixedPower(p_max, gamma), self.gains,
+                                              self.params), snr_scale(gamma))
         return self._taus[gamma]
 
     @cached_property
@@ -388,19 +389,17 @@ class ChannelBatch:
 
     def ne(self, p_max: float) -> NEArrays:
         """Full-power operating point: both budgets spent, tau optimal for them."""
-        gamma = self.params.gamma_max
-        full, p = self._profile(p_max, gamma), p_max / snr_scale(gamma)
+        full, scale = self._profile(p_max, self.params.gamma_max)
+        p = p_max / scale
         tau = full(p)
         value = capacity_from_factors(p, full.lead, full.den, tau, self.gains.h2)
         return NEArrays(tau, value, self._sign(p_max, tau) <= 0.0)
 
     def no_eh(self, p_max: float):
-        """capacity(p_max, 0, gamma_max), the no-harvesting baseline, from the
-        full-power profile's den: at tau == 0, capacity_from_factors has remain
-        1 and num p' exactly, so this is its value bit for bit."""
-        gamma = self.params.gamma_max
-        full = self._profile(p_max, gamma)
-        return 0.5 * log1p_snr(p_max / snr_scale(gamma), self.gains.h2, full.den) / math.log(2.0)
+        """capacity(p_max, 0, gamma_max), the no-harvesting baseline: the
+        full-power profile's capacity at tau == 0, where nothing is harvested."""
+        full, scale = self._profile(p_max, self.params.gamma_max)
+        return capacity_from_factors(p_max / scale, 0.0, full.den, 0.0, self.gains.h2)
 
     def nj(self, p_max: float) -> NJArrays:
         """Neutralizing optimum; infeasible links get value 0 and a zero strategy.
@@ -418,8 +417,8 @@ class ChannelBatch:
         P; a subnormal t1*K misses P by under half its spacing. A t_tilde > t0
         is >= t1, and rounding is monotone. Only those short lanes are stepped."""
         feasible, ceiling = self.feasible, self._ceiling
-        silent = self._profile(p_max, 0.0)
-        t_tilde = silent(p_max)  # snr_scale(0) == 1
+        silent, scale = self._profile(p_max, 0.0)
+        t_tilde = silent(p_max / scale)
         with np.errstate(divide="ignore", over="ignore"):  # an inf kink is exact
             p_inv = np.divide(p_max, self._k)
         t_hat = self._t_hat
@@ -435,7 +434,7 @@ class ChannelBatch:
         if short.size:
             np.put(tau, short, np.nextafter(tau.flat[short], 1.0))
             np.put(p, short, p_max)
-        value = capacity_from_factors(p, silent.lead, silent.den, tau, self.gains.h2)
+        value = capacity_from_factors(p / scale, silent.lead, silent.den, tau, self.gains.h2)
         regime = (2 - (p_inv > 1.0) + beyond) * feasible  # 0 infeasible, 1 case a, 2 or 3
         return NJArrays(p, tau, value, regime)
 

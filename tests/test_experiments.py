@@ -180,6 +180,12 @@ def test_metrics_contract_violations():
         metric_f(0.5, 0.6)
     with pytest.raises(ValueError):
         metric_f(-0.1, 0.0)
+    # a tiny reference overflows the ratio to -inf: only the documented error escapes
+    for metric in (metric_f, metric_fnj):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="exceeds the reference capacity"):
+                metric(5e-324, 1e-9)
 
 
 def test_metrics_clamp_float_noise():
@@ -204,7 +210,7 @@ def _relative_gain_by_masks(c_ref, c_other, other_name):
         raise ValueError("capacities must be >= 0")
     if np.any((ref == 0.0) & (other > 0.0)):
         raise ValueError(f"{other_name} > 0 with zero reference capacity")
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         r = (ref - other) / ref
     r = np.where(ref == 0.0, 0.0, r)
     if np.any(r < -experiments.DOMINANCE_TOL):
@@ -252,6 +258,7 @@ def _outcome(metric, *args):
 @example(pair=(np.array([-0.0, 1.0]), np.array([0.5, 1.0])))
 @example(pair=(np.array([0.0, 1.0]), np.array([0.0, 2.0])))
 @example(pair=(np.array([math.inf, 1.0]), np.array([math.inf, 0.5])))
+@example(pair=(5e-324, 1e-9))
 def test_metrics_match_the_mask_rule(pair):
     # same bytes, nan lanes included, and the same error in the same order
     ref, other = pair

@@ -193,7 +193,7 @@ def _nj_nudging_until_reached(batch, p_max):
     kink settled by nudging tau one ulp per pass until the threshold reaches P
     (an error after 64 passes rather than a hang)."""
     gains, params, feasible = batch.gains, batch.params, batch.feasible
-    t_tilde = batch._profile(p_max, 0.0)(p_max)
+    t_tilde = batch._profile(p_max, 0.0)[0](p_max)
     k, t_hat = p_threshold(1.0, gains, params), batch._t_hat
     with np.errstate(divide="ignore", over="ignore"):
         p_inv = np.divide(p_max, k)

@@ -26,7 +26,7 @@ from ehjam import (
     tau_profile_capacity,
     verify_saddle_point,
 )
-from ehjam import solvers
+from ehjam import model, solvers
 from ehjam.model import TAU_LIMIT
 from ehjam.solvers import _profile_tau
 from helpers import (
@@ -482,12 +482,18 @@ def test_feasibility_is_formed_only_where_it_is_read(monkeypatch):
 _EDGE_GAINS = (0.0, 5e-324, 1e-310, 0.2, 1.0, 1e12, 1e160, 1e300)
 
 
+@pytest.mark.parametrize("scale_rule", [model.snr_scale, lambda gamma: np.maximum(gamma, 2.0)],
+                         ids=["shipped", "max_gamma_2"])
 @pytest.mark.parametrize("zeta", [0.0, 0.5, 1.0])
-def test_channel_batch_values_are_the_checked_capacity_bit_for_bit(zeta):
+def test_channel_batch_values_are_the_checked_capacity_bit_for_bit(zeta, scale_rule,
+                                                                   monkeypatch):
     # ne, nj and no_eh evaluate capacity_from_factors on the batch's own
     # factors; the checked capacity forms them afresh from the same inputs,
     # over every combination of zero, subnormal, ordinary, >= 1e12 and
-    # overflow-rescue gains
+    # overflow-rescue gains, also under a scale rule with snr_scale(0) != 1:
+    # the batch reads the scale from model's rule, never assumes it
+    monkeypatch.setattr(model, "snr_scale", scale_rule)
+    monkeypatch.setattr(solvers, "snr_scale", scale_rule)
     h2, ga2, gb2 = (g.ravel() for g in np.meshgrid(_EDGE_GAINS, _EDGE_GAINS, _EDGE_GAINS))
     gains = ChannelGains(h2, ga2, gb2)
     params = reference_params(zeta=zeta)
