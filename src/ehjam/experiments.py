@@ -328,24 +328,29 @@ def _exact_parts(values) -> list[float]:
 
     With sigma = 2^(e(max|a|) + e(n+2)), e the frexp exponent (>= ceil log2),
     q = (sigma + a) - sigma and a - q are exact and the q sum exactly in any
-    order; repeat on a - q until it is 0. Where sigma would overflow or a
-    value is not finite, the values are handed on as they are.
+    order. Two such passes run over all of a, the first reading values
+    without copying them, the second on the rests a - q; the lanes still
+    nonzero after them (a handful of 10k draws of the sweep's columns) are
+    handed on as they are, and math.fsum over the parts stays exact. Where
+    sigma would overflow or a value is not finite, the values are handed on
+    as they are.
     """
-    a = np.array(values, dtype=float).ravel()  # a copy, reduced in place
-    q = np.empty_like(a)
+    a = np.asarray(values, dtype=float).ravel()  # read, never written
     parts = []
     bits = math.frexp(a.size + 2.0)[1]
-    while a.size and (top := max(float(np.maximum.reduce(a)),
-                                 -float(np.minimum.reduce(a)))) != 0.0:
+    for _ in range(2):
+        if not a.size or (top := max(float(np.maximum.reduce(a)),
+                                     -float(np.minimum.reduce(a)))) == 0.0:
+            return parts
         exponent = math.frexp(top)[1] + bits
         if not math.isfinite(top) or exponent > 1023:
             return parts + a.tolist()
         sigma = math.ldexp(1.0, exponent)
-        np.add(a, sigma, out=q)
+        q = a + sigma
         q -= sigma
         parts.append(float(np.add.reduce(q)))
-        a -= q
-    return parts
+        a = np.subtract(a, q, out=q)  # the rests, in q's buffer
+    return parts + a[a != 0.0].tolist()
 
 
 def _point_columns(batch, p_max) -> dict:
@@ -358,14 +363,19 @@ def _point_columns(batch, p_max) -> dict:
             "f_nj_ratio_mean": metric_fnj(ne.value, nj.value)}
 
 
-def _make_record(sir_db, chunks, draws) -> SweepRecord:
-    """One SIR point's record from its chunks' parts, keyed by field name: each
-    field is the exact sum of its parts divided by draws, and f and f_nj are the
-    ratios of those means. A key that is not a field raises TypeError."""
-    means = {name: math.fsum(part for chunk in chunks for part in chunk[name]) / draws
-             for name in chunks[0]}
-    return SweepRecord(sir_db=sir_db, f=metric_f(means["c_ne"], means["c_no_eh"]),
-                       f_nj=metric_fnj(means["c_ne"], means["c_nj"]), **means)
+def _make_record(sirs, points, draws) -> list[SweepRecord]:
+    """The records of the SIR points sirs from each point's chunks' parts,
+    keyed by field name: each field is the exact sum of its parts divided by
+    draws, and f and f_nj are the ratios of those means, formed and checked
+    by one metric_f and one metric_fnj call over all points. A key that is
+    not a field raises TypeError."""
+    means = [{name: math.fsum(part for chunk in chunks for part in chunk[name]) / draws
+              for name in chunks[0]} for chunks in points]
+    column = lambda name: np.array([point[name] for point in means])
+    f = metric_f(column("c_ne"), column("c_no_eh")).tolist()
+    f_nj = metric_fnj(column("c_ne"), column("c_nj")).tolist()
+    return [SweepRecord(sir_db=sir_db, f=f_i, f_nj=f_nj_i, **point)
+            for sir_db, f_i, f_nj_i, point in zip(sirs, f, f_nj, means)]
 
 
 def _usable_cpus() -> int:
@@ -431,7 +441,7 @@ def sir_sweep(config: SweepConfig) -> list[SweepRecord]:
                      _point_columns(batch, p_max).items()} | feasible for p_max in budgets]
 
     chunks = list(_map_in_order(solve_chunk, range(0, draws, _CHUNK_DRAWS)))
-    return [_make_record(sir_db, point, draws) for sir_db, point in zip(sirs, zip(*chunks))]
+    return _make_record(sirs, zip(*chunks), draws)
 
 
 def _config_echo(config: SweepConfig) -> list[str]:

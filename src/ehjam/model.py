@@ -195,7 +195,9 @@ def capacity_from_factors(p, lead, den, tau, h2):
     remain = 1.0 - tau
     num, den = p + tau * lead, remain * den
     with np.errstate(invalid="ignore"):  # the remain == 0 lanes, set below
-        c = remain / 2.0 * log1p_snr(num, h2, den) / _LN2
+        c = log1p_snr(num, h2, den)  # a new array, scaled in place
+        c *= remain / 2.0
+        c /= _LN2
     if not np.logical_and.reduce(remain, axis=None):  # some remain == 0
         c = np.where(remain == 0.0, 0.0, c)
     return c

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -178,15 +178,26 @@ def _optimal_snr(beta):
         return np.where(beta < _SERIES_BETA, series, s)
 
 
-def _optimal_tau(alpha, beta, s):
-    """Maximizer over [0, TAU_LIMIT] of the concave canonical profile given
-    s = _optimal_snr(beta): 1 - tau = (alpha+beta)/(s+beta), clipped. The
-    derivative at tau is (beta - g(x))/(2 ln2 (1+x)), x the SNR term there,
-    so its sign at _TAU_PROBE is that of s - x, which does not cancel."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        tau = 1.0 - (alpha + beta) / (s + beta)
-    rising = s > (alpha + beta * _TAU_PROBE) / (1.0 - _TAU_PROBE)
-    return np.where(rising, np.clip(tau, 0.0, TAU_LIMIT), 0.0)
+def _optimal_tau(beta, s):
+    """alpha -> the maximizer over [0, TAU_LIMIT] of the concave canonical
+    profile, elementwise, given s = _optimal_snr(beta): 1 - tau =
+    (alpha+beta)/(s+beta), clipped, where the profile rises at _TAU_PROBE,
+    and 0 elsewhere. The derivative at tau is (beta - g(x))/(2 ln2 (1+x)), x
+    the SNR term there, so its sign at _TAU_PROBE is that of s - x, which
+    does not cancel. s + beta and beta*_TAU_PROBE do not depend on alpha and
+    are formed here, once (a tiny beta*_TAU_PROBE underflows). A rising lane
+    never has a nan tau, so the clip's upper end is rising*TAU_LIMIT: a lane
+    that does not rise reads fmin(fmax(tau, 0), 0) = +0, a nan or -inf tau
+    included."""
+    with np.errstate(over="ignore", under="ignore"):
+        s_beta, beta_probe = s + beta, beta * _TAU_PROBE
+
+    def tau_at(alpha):
+        with np.errstate(all="ignore"):  # 0/0, x/0, overflow and underflow alike
+            tau = 1.0 - (alpha + beta) / s_beta
+            rising = s > (alpha + beta_probe) / (1.0 - _TAU_PROBE)
+        return np.fmin(np.fmax(tau, 0.0), rising * TAU_LIMIT)
+    return tau_at
 
 
 def _profile_tau(profile: FixedPower | OnThreshold, gains: ChannelGains,
@@ -212,15 +223,15 @@ def _profile_tau(profile: FixedPower | OnThreshold, gains: ChannelGains,
             log1p_beta = log1p_snr(lead, gains.h2, den)
             beta = np.where(over, np.expm1(log1p_beta), beta)
             w = _wright_omega(log1p_beta - 1.0)
-    s = _optimal_snr(beta)
+    tau_at = _optimal_tau(beta, _optimal_snr(beta))
 
     def tau(p=p0):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             alpha = p * scale
             if not any_over:
-                return _optimal_tau(alpha, beta, s)
+                return tau_at(alpha)
             ratio = p / lead
-            tau = _optimal_tau(np.where(over, ratio * beta, alpha), beta, s)
+            tau = tau_at(np.where(over, ratio * beta, alpha))
             tau_huge = np.clip((1.0 - ratio * w) / (1.0 + w), 0.0, TAU_LIMIT)
         return np.where(over & np.isinf(beta), tau_huge, tau)
     tau.lead, tau.den = lead, den
@@ -313,17 +324,18 @@ class ChannelBatch:
     tau == 0 reads the floor, and every other lane tau*K (-0 at tau == 0
     where K < 0, which p_threshold returns as +0). feasible
     (neutralization_feasible) marks where the jammer can be neutralized; the
-    ceiling, +inf there and 0 elsewhere, zeroes the infeasible lanes of any x
-    >= 0 of a shape that broadcasts with the gains, in any memory layout, as
-    np.minimum(x, ceiling); both are formed on first use, which p_threshold
-    never makes. _threshold and _sign read the line unchecked; p_threshold and
-    jamming_sign are their checked one-shot calls. What does not depend on P
-    is kept from first use, so that each budget pays only for what does: each
-    jamming power's snr_factors and snr_scale, tau-profile beta and s(beta),
-    and t_hat, which only nj reads. A transmit power p enters a fixed-power
-    profile and its capacity as p/snr_scale(gamma); the kink and threshold stay
-    in mW. ne, nj and no_eh take their capacities through capacity_from_factors,
-    unchecked: their p and tau are valid by construction."""
+    ceiling, +inf there and -1 elsewhere, caps the jammer's sign, which reads
+    -1 where the jammer cannot be neutralized; both are formed on first use,
+    which p_threshold never makes. _threshold and _sign read the line
+    unchecked; p_threshold and jamming_sign are their checked one-shot calls.
+    What does not depend on P is kept from first use, so that each budget pays
+    only for what does: each jamming power's snr_factors and snr_scale,
+    tau-profile beta and s(beta), and what nj reads, gathered on the lanes
+    where the jammer can be neutralized (_neutralizable): nj solves only
+    those. A transmit power p enters a fixed-power profile and its capacity as
+    p/snr_scale(gamma); the kink and threshold stay in mW. ne, nj and no_eh
+    take their capacities through capacity_from_factors, unchecked: their p
+    and tau are valid by construction."""
 
     def __init__(self, gains: ChannelGains, params: SystemParams):
         self.gains, self.params = gains, params
@@ -348,14 +360,13 @@ class ChannelBatch:
 
     @cached_property
     def _ceiling(self):
-        """+inf where feasible, 0 elsewhere."""
-        return np.where(self.feasible, math.inf, 0.0)
+        """The cap of the jammer's sign: +inf where feasible, -1 elsewhere."""
+        return np.where(self.feasible, math.inf, -1.0)
 
     def _threshold(self, tau):
         """p_th(tau), unchecked: tau in [0, 1], broadcast against the gains'
         ga2 and gb2."""
-        with np.errstate(invalid="ignore"):  # 0*inf at tau == 0 reads the floor
-            line = np.fmax(tau * self._k, self._floor)
+        line = _line(tau, self._k, self._floor)
         return float(line) if line.ndim == 0 else line
 
     def _sign(self, p, tau):
@@ -368,24 +379,43 @@ class ChannelBatch:
             sign = np.where(self._unreached, np.sign(tau * self.params.zeta * self.gains.ga2),
                             sign)
         if np.maximum.reduce(sign, axis=None, initial=-1.0) >= 0.0:  # only 0 and +1 lanes change
-            sign = np.minimum(sign, self._ceiling - 1.0)  # -1 where infeasible
+            sign = np.minimum(sign, self._ceiling)  # -1 where infeasible
         return float(sign) if sign.ndim == 0 else sign
 
     def _profile(self, p_max, gamma):
         """(tau(p), snr_scale(gamma)) of the fixed-power profile at jamming power
         gamma, formed on first use: a transmit power p enters tau(p), whose lead
         and den are its attributes, and capacity_from_factors as p/snr_scale(gamma)."""
-        if not 0.0 < p_max < math.inf:
-            raise ValueError("p_max must be positive and finite")
+        _check_budget(p_max)
         if gamma not in self._taus:
             self._taus[gamma] = (_profile_tau(FixedPower(p_max, gamma), self.gains,
                                               self.params), snr_scale(gamma))
         return self._taus[gamma]
 
     @cached_property
-    def _t_hat(self):
-        """The threshold optimum t_hat."""
-        return _profile_tau(OnThreshold(), self.gains, self.params)()
+    def _neutralizable(self):
+        """(lanes, shape, solve), formed at nj's first budget: solve(p_max) is
+        _neutralizing_optimum on the lanes where the jammer can be neutralized,
+        with their h2, K, line floor, silent (gamma == 0) tau-profile and t_hat
+        bound. Where every lane can, lanes and shape are None and solve reads
+        the batch's own arrays. Elsewhere lanes are their flat indices in
+        shape, the gains' broadcast shape: the gains, K and floor are gathered
+        there and the profiles formed from the gathered gains, or where no
+        lane can, solve is None and nothing is formed."""
+        gains, k, floor = self.gains, self._k, self._floor
+        lanes = shape = None
+        if not self.feasible.all():
+            shape = np.broadcast_shapes(*map(np.shape, (gains.h2, gains.ga2, gains.gb2)))
+            lanes = np.flatnonzero(np.broadcast_to(self.feasible, shape))
+            if not lanes.size:
+                return lanes, shape, None
+            take = lambda x: np.broadcast_to(x, shape).take(lanes)  # flat indices
+            gains = ChannelGains(take(gains.h2), take(gains.ga2), take(gains.gb2))
+            k, floor = take(k), take(floor)
+        silent = _profile_tau(FixedPower(0.0, 0.0), gains, self.params)  # p comes per budget
+        t_hat = _profile_tau(OnThreshold(), gains, self.params)()
+        return lanes, shape, partial(_neutralizing_optimum, gains.h2, k, floor, silent,
+                                     snr_scale(0.0), t_hat)
 
     def ne(self, p_max: float) -> NEArrays:
         """Full-power operating point: both budgets spent, tau optimal for them."""
@@ -402,41 +432,68 @@ class ChannelBatch:
         return capacity_from_factors(p_max / scale, 0.0, full.den, 0.0, self.gains.h2)
 
     def nj(self, p_max: float) -> NJArrays:
-        """Neutralizing optimum; infeasible links get value 0 and a zero strategy.
+        """Neutralizing optimum (_neutralizing_optimum); infeasible links get
+        value 0 and a zero strategy. Only the lanes where the jammer can be
+        neutralized are solved: where some cannot, the results are scattered
+        into +0.0 (p, tau, value) and 0 (regime) arrays of the gains' broadcast
+        shape, and where none can, nothing is solved."""
+        _check_budget(p_max)
+        lanes, shape, solve = self._neutralizable
+        if lanes is None:
+            return solve(p_max)
+        out = NJArrays(np.zeros(shape), np.zeros(shape), np.zeros(shape),
+                       np.zeros(shape, dtype=int))
+        if lanes.size:
+            for full, part in zip(out, solve(p_max)):
+                np.put(full, lanes, part)
+        return out
 
-        Capacity along p = min(P, p_threshold(tau)) is the pointwise minimum of
-        the concave threshold and full-power profiles, so it is concave in tau
-        with its kink at P/K (0 where the threshold is unbounded). Its maximizer
-        is the threshold optimum t_hat where t_hat < P/K (case a when P/K > 1,
-        which makes it independent of P; else case b, candidate 1); otherwise
-        full power at the silent-jammer optimum t_tilde raised to at least P/K
-        (candidate 2, or 1 at the kink itself). Where t0 = fl(P/K) has t0*K
-        round below P, one ulp up is enough: t0 is within half an ulp of P/K, so
-        the next float t1 > t0*(1 + 2^-53) >= P/K*(1 - 2^-106) and t1*K rounds
-        to >= P. A subnormal P/K (t0 = 0 too) is within 2^-1075 of t0, so t1*K >
-        P; a subnormal t1*K misses P by under half its spacing. A t_tilde > t0
-        is >= t1, and rounding is monotone. Only those short lanes are stepped."""
-        feasible, ceiling = self.feasible, self._ceiling
-        silent, scale = self._profile(p_max, 0.0)
-        t_tilde = silent(p_max / scale)
-        with np.errstate(divide="ignore", over="ignore"):  # an inf kink is exact
-            p_inv = np.divide(p_max, self._k)
-        t_hat = self._t_hat
-        on_threshold = t_hat < p_inv
-        off = ~on_threshold
-        beyond = off & (t_tilde > p_inv)
-        tau = np.where(on_threshold, t_hat, np.maximum(t_tilde, p_inv))
-        np.minimum(tau, ceiling, out=tau)  # 0 where infeasible
-        threshold = self._threshold(tau)
-        short = np.flatnonzero(feasible & off & (threshold < p_max) & (tau < TAU_LIMIT))
-        p = np.asarray(np.minimum(threshold, p_max))  # np.put needs an array, 0-d too
-        np.minimum(p, ceiling, out=p)
-        if short.size:
-            np.put(tau, short, np.nextafter(tau.flat[short], 1.0))
-            np.put(p, short, p_max)
-        value = capacity_from_factors(p / scale, silent.lead, silent.den, tau, self.gains.h2)
-        regime = (2 - (p_inv > 1.0) + beyond) * feasible  # 0 infeasible, 1 case a, 2 or 3
-        return NJArrays(p, tau, value, regime)
+
+def _check_budget(p_max):
+    """Raise unless the transmit budget p_max is positive and finite."""
+    if not 0.0 < p_max < math.inf:
+        raise ValueError("p_max must be positive and finite")
+
+
+def _line(tau, k, floor):
+    """fmax(tau*K, floor), ChannelBatch's threshold line, unchecked."""
+    with np.errstate(invalid="ignore"):  # 0*inf at tau == 0 reads the floor
+        return np.fmax(tau * k, floor)
+
+
+def _neutralizing_optimum(h2, k, floor, silent, scale, t_hat, p_max) -> NJArrays:
+    """ChannelBatch.nj at budget p_max on lanes where the jammer can be
+    neutralized, from their h2, K, line floor, silent tau-profile tau(p) with
+    its snr_scale(0), and t_hat.
+
+    Capacity along p = min(P, p_threshold(tau)) is the pointwise minimum of
+    the concave threshold and full-power profiles, so it is concave in tau
+    with its kink at P/K (0 where the threshold is unbounded). Its maximizer
+    is the threshold optimum t_hat where t_hat < P/K (case a when P/K > 1,
+    which makes it independent of P; else case b, candidate 1); otherwise
+    full power at the silent-jammer optimum t_tilde raised to at least P/K
+    (candidate 2, or 1 at the kink itself). Where t0 = fl(P/K) has t0*K
+    round below P, one ulp up is enough: t0 is within half an ulp of P/K, so
+    the next float t1 > t0*(1 + 2^-53) >= P/K*(1 - 2^-106) and t1*K rounds
+    to >= P. A subnormal P/K (t0 = 0 too) is within 2^-1075 of t0, so t1*K >
+    P; a subnormal t1*K misses P by under half its spacing. A t_tilde > t0
+    is >= t1, and rounding is monotone. Only those short lanes are stepped."""
+    t_tilde = silent(p_max / scale)
+    with np.errstate(divide="ignore", over="ignore"):  # an inf kink is exact
+        p_inv = np.divide(p_max, k)
+    on_threshold = t_hat < p_inv
+    off = ~on_threshold
+    beyond = off & (t_tilde > p_inv)
+    tau = np.where(on_threshold, t_hat, np.maximum(t_tilde, p_inv))
+    threshold = _line(tau, k, floor)
+    short = np.flatnonzero(off & (threshold < p_max) & (tau < TAU_LIMIT))
+    p = np.asarray(np.minimum(threshold, p_max))  # np.put needs an array, 0-d too
+    if short.size:
+        np.put(tau, short, np.nextafter(tau.flat[short], 1.0))
+        np.put(p, short, p_max)
+    value = capacity_from_factors(p / scale, silent.lead, silent.den, tau, h2)
+    regime = 2 - (p_inv > 1.0) + beyond  # 1 case a, 2 or 3 case b
+    return NJArrays(p, tau, value, regime)
 
 
 def p_threshold(tau, gains: ChannelGains, params: SystemParams):

@@ -3,10 +3,11 @@ extreme inputs: profile coefficients from 0 to 1e13, gains of 0, subnormal
 or up to 1e300, zeta from 0 (and subnormal) to 1 and jamming budgets from 0
 to 1e300, next to ordinary values."""
 
+import math
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ehjam import (
@@ -30,8 +31,9 @@ from ehjam import (
     transmit_budget,
 )
 from ehjam.experiments import _gain_block
-from ehjam.solvers import _optimal_snr, _optimal_tau, _profile_tau, _tau_derivative
-from helpers import GAMMA_MW, counted_batches, reference_params
+from ehjam.model import capacity_from_factors, snr_scale
+from ehjam.solvers import _TAU_PROBE, _optimal_snr, _optimal_tau, _profile_tau, _tau_derivative
+from helpers import GAMMA_MW, counted_batches, params_at_sir, reference_params
 
 # deterministic examples, no example database: the suite reruns identically
 _SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -49,14 +51,14 @@ _GAIN = st.one_of(st.just(0.0), _log_uniform(-3.0, 3.0), _log_uniform(12.0, 15.0
 @given(st.lists(st.tuples(_COEFFICIENT, _COEFFICIENT), min_size=1, max_size=16))
 def test_optimal_tau_is_the_stationary_point(pairs):
     alpha, beta = (np.array(c) for c in zip(*pairs))
-    tau = _optimal_tau(alpha, beta, _optimal_snr(beta))
+    tau = _optimal_tau(beta, _optimal_snr(beta))(alpha)
     assert np.all(np.isfinite(tau))
     assert np.all((tau >= 0.0) & (tau <= TAU_LIMIT))
     interior = (tau > 0.0) & (tau < TAU_LIMIT)
     resid = _tau_derivative(tau[interior], alpha[interior], beta[interior])
     assert np.all(np.abs(resid) <= 1e-12 * np.maximum(1.0, alpha + beta)[interior])
     for i, (a, b) in enumerate(pairs):
-        assert _optimal_tau(a, b, _optimal_snr(b)) == tau[i]
+        assert _optimal_tau(b, _optimal_snr(b))(a) == tau[i]
 
 
 @_SETTINGS
@@ -66,7 +68,7 @@ def test_optimal_tau_accurate_near_branch_point(beta):
     # the returned tau against (1+s)*log1p(s) - s = beta, summed as its
     # alternating series so that no digits cancel
     alpha = np.sqrt(2.0 * beta) / 2.0  # puts tau near 1/2
-    tau = float(_optimal_tau(alpha, beta, _optimal_snr(beta)))
+    tau = float(_optimal_tau(beta, _optimal_snr(beta))(alpha))
     s = (alpha + beta * tau) / (1.0 - tau)
     g = sum((-1) ** n * s ** n / (n * (n - 1)) for n in range(30, 1, -1))
     assert abs(g - beta) <= 1e-12 * beta
@@ -193,8 +195,8 @@ def _nj_nudging_until_reached(batch, p_max):
     kink settled by nudging tau one ulp per pass until the threshold reaches P
     (an error after 64 passes rather than a hang)."""
     gains, params, feasible = batch.gains, batch.params, batch.feasible
-    t_tilde = batch._profile(p_max, 0.0)[0](p_max)
-    k, t_hat = p_threshold(1.0, gains, params), batch._t_hat
+    t_tilde = _profile_tau(FixedPower(p_max, 0.0), gains, params)()
+    k, t_hat = p_threshold(1.0, gains, params), _profile_tau(OnThreshold(), gains, params)()
     with np.errstate(divide="ignore", over="ignore"):
         p_inv = np.divide(p_max, k)
     on_threshold = t_hat < p_inv
@@ -252,6 +254,122 @@ def test_one_ulp_nudge_matches_nudging_until_reached_on_sweep_draws():
         nudged += int(np.sum(batch.feasible & (tau == np.nextafter(kink, 1.0))))
     assert nudged >= 100
 
+
+def _nj_all_lanes(batch, p_max):
+    """Reference for ChannelBatch.nj: the same kernel solved on every lane,
+    the infeasible ones then zeroed by np.minimum with a ceiling of +inf
+    where feasible and 0 elsewhere, and their regime by a factor of
+    feasible."""
+    gains, params, feasible = batch.gains, batch.params, batch.feasible
+    ceiling = np.where(feasible, math.inf, 0.0)
+    silent, scale = _profile_tau(FixedPower(p_max, 0.0), gains, params), snr_scale(0.0)
+    t_tilde = silent(p_max / scale)
+    with np.errstate(divide="ignore", over="ignore"):
+        p_inv = np.divide(p_max, batch._k)
+    t_hat = _profile_tau(OnThreshold(), gains, params)()
+    on_threshold = t_hat < p_inv
+    off = ~on_threshold
+    beyond = off & (t_tilde > p_inv)
+    tau = np.where(on_threshold, t_hat, np.maximum(t_tilde, p_inv))
+    np.minimum(tau, ceiling, out=tau)
+    threshold = batch._threshold(tau)
+    short = np.flatnonzero(feasible & off & (threshold < p_max) & (tau < TAU_LIMIT))
+    p = np.asarray(np.minimum(threshold, p_max))
+    np.minimum(p, ceiling, out=p)
+    if short.size:
+        np.put(tau, short, np.nextafter(tau.flat[short], 1.0))
+        np.put(p, short, p_max)
+    value = capacity_from_factors(p / scale, silent.lead, silent.den, tau, gains.h2)
+    return NJArrays(p, tau, value, (2 - (p_inv > 1.0) + beyond) * feasible)
+
+
+_EDGE_OR_ORDINARY_GAIN = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1e300]),
+                                   _log_uniform(-3.0, 3.0))
+
+
+@_SETTINGS
+@given(
+    layout=st.sampled_from(["0-d", "scalar h2", "scalar ga2 and gb2", "2-D"]),
+    feasibility=st.sampled_from(["all", "none", "some"]),
+    draws=st.lists(st.tuples(_EDGE_OR_ORDINARY_GAIN, _EDGE_OR_ORDINARY_GAIN,
+                             _EDGE_OR_ORDINARY_GAIN), min_size=6, max_size=6),
+    zeta=st.sampled_from([0.0, 5e-324, 1.0]),
+)
+def test_channel_batch_nj_solves_only_the_neutralizable_lanes(layout, feasibility, draws,
+                                                              zeta):
+    # nj gathers the lanes where the jammer can be neutralized, solves them
+    # alone and scatters them into zeros: bytes, dtype and shape equal the
+    # kernel run on every lane and zeroed by the ceiling, at every budget of
+    # one batch, where every lane, none or some can be neutralized
+    h2, ga2, gb2 = (np.array(c) for c in zip(*draws))
+    if feasibility == "all":  # ga2*n_b > gb2*n_a on every lane
+        ga2, gb2 = np.maximum(ga2, 1.0), np.minimum(gb2, 1.0)
+    elif feasibility == "none":
+        ga2 = np.zeros_like(ga2)
+    else:  # lane 0 can be neutralized, lane 1 cannot
+        ga2[0], gb2[0], ga2[1] = max(ga2[0], 1.0), min(gb2[0], 1.0), 0.0
+    if layout == "0-d":
+        assume(feasibility != "some")
+        gains = ChannelGains(float(h2[0]), float(ga2[0]), float(gb2[0]))
+    elif layout == "scalar h2":
+        gains = ChannelGains(float(h2[0]), ga2, gb2)
+    elif layout == "scalar ga2 and gb2":
+        assume(feasibility != "some")
+        gains = ChannelGains(h2, float(ga2[0]), float(gb2[0]))
+    else:
+        gains = ChannelGains(h2.reshape(2, 3), ga2.reshape(2, 3), gb2.reshape(2, 3))
+    params = reference_params(zeta=zeta)
+    batch = ChannelBatch(gains, params)
+    feasible = batch.feasible
+    assert {"all": feasible.all(), "none": not feasible.any(),
+            "some": feasible.any() and not feasible.all()}[feasibility]
+    for sir_db in (-30.0, 0.0, 10.0):
+        p_max = params_at_sir(sir_db).p_max
+        _assert_same_bits(batch.nj(p_max), _nj_all_lanes(batch, p_max))
+
+
+def _optimal_tau_by_select(alpha, beta, s):
+    """Reference for _optimal_tau: (tau clipped to [0, TAU_LIMIT] where the
+    profile rises at _TAU_PROBE, selected by np.where, else 0; rising)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tau = 1.0 - (alpha + beta) / (s + beta)
+    with np.errstate(under="ignore"):
+        rising = s > (alpha + beta * _TAU_PROBE) / (1.0 - _TAU_PROBE)
+    return np.where(rising, np.clip(tau, 0.0, TAU_LIMIT), 0.0), rising
+
+
+# what alpha and beta read in a tau-profile: 0 (h2 == 0, or beta == 0 where
+# zeta == 0), subnormal, ordinary, huge, inf past an overflow, nan from 0*inf
+_PROFILE_TERM = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1e300, math.inf, math.nan]),
+                          _log_uniform(-300.0, 300.0))
+# alpha just below s, where 1 - (alpha+beta)/(s+beta) lies in (0, _TAU_PROBE]
+# but the profile does not rise at _TAU_PROBE: tau there is 0, not the clip
+_FLAT_AT_THE_PROBE = st.builds(
+    lambda beta, t: (float(_optimal_snr(beta) * (1.0 - t) - t * beta), beta),
+    _log_uniform(-6.0, 6.0), _log_uniform(-9.0, -6.5))
+
+
+@_SETTINGS
+@given(st.lists(st.one_of(st.tuples(_PROFILE_TERM, _PROFILE_TERM), _FLAT_AT_THE_PROBE),
+                min_size=1, max_size=16))
+@example([(0.0, 0.0), (1.0, 0.0), (math.inf, math.inf), (math.nan, 1.0), (1.0, 1e300)])
+def test_optimal_tau_equals_the_select_form_bit_for_bit(pairs):
+    # fmin(fmax(tau, 0), rising*TAU_LIMIT) reads the clip where the profile
+    # rises and +0.0 elsewhere, a nan or -inf tau included (0/0 where h2 or
+    # beta is 0, x/0, inf/inf on the Wright-omega lanes); no floating-point
+    # event escapes it, also where beta*_TAU_PROBE underflows
+    alpha, beta = (np.array(c) for c in zip(*pairs))
+    with np.errstate(invalid="ignore"):  # the nan beta lanes
+        s = _optimal_snr(beta)
+    want, rising = _optimal_tau_by_select(alpha, beta, s)
+    with np.errstate(all="raise"):
+        got = _optimal_tau(beta, s)(alpha)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    assert not np.signbit(got).any() and not got[~rising].any()
+    for i in range(len(pairs)):
+        with np.errstate(all="raise"):
+            one = _optimal_tau(beta[i], s[i])(alpha[i])
+        assert np.asarray(one).tobytes() == got[i].tobytes()
 
 
 def _jamming_sign_by_where(p, tau, gains, params):
