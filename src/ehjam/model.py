@@ -168,16 +168,18 @@ def snr_factors(p, gamma, gains: ChannelGains, params: SystemParams):
     """
     scale = snr_scale(gamma)
     share = gamma / scale  # min(gamma, 1), exactly
-    return (p / scale, params.zeta * (share * gains.ga2 + params.n_a / scale),
-            share * gains.gb2 + params.n_b / scale)
+    with np.errstate(under="ignore"):  # a tiny gamma, gain or zeta flushes its product
+        return (p / scale, params.zeta * (share * gains.ga2 + params.n_a / scale),
+                share * gains.gb2 + params.n_b / scale)
 
 
 def log1p_snr(x, h2, den):
     """ln(1 + x*h2/den) elementwise. h2/den is formed first, since x*h2
     overflows for gains near 1e160; where the SNR or h2/den leaves the float
     range, the log is summed from logarithms. One max finds such lanes (it
-    propagates nan), so their mask is built only when there are some."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    propagates nan), so their mask is built only when there are some; a tiny
+    SNR or log-sum flushes toward 0."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         snr = x * (h2 / den)
         out = np.log1p(snr)
         if not np.isfinite(np.maximum.reduce(snr, axis=None, initial=-math.inf)):
@@ -193,8 +195,9 @@ def capacity_from_factors(p, lead, den, tau, h2):
     formula, for callers whose inputs are valid by construction. tau must lie
     in [0, 1], as a float or a float array; tau == 1 yields 0."""
     remain = 1.0 - tau
-    num, den = p + tau * lead, remain * den
-    with np.errstate(invalid="ignore"):  # the remain == 0 lanes, set below
+    # invalid: the remain == 0 lanes, set below; under: tiny terms flush toward 0
+    with np.errstate(invalid="ignore", under="ignore"):
+        num, den = p + tau * lead, remain * den
         c = log1p_snr(num, h2, den)  # a new array, scaled in place
         c *= remain / 2.0
         c /= _LN2
@@ -227,4 +230,5 @@ def neutralization_feasible(gains: ChannelGains, params: SystemParams):
     the neutralization threshold that solvers.ChannelBatch owns; rounded, a
     feasible link may read K = 0 and an infeasible one K > 0, so ChannelBatch
     decides feasibility by this test, not by K's sign."""
-    return gains.ga2 * params.n_b > gains.gb2 * params.n_a
+    with np.errstate(under="ignore"):  # a subnormal gain's product flushes toward 0
+        return gains.ga2 * params.n_b > gains.gb2 * params.n_a

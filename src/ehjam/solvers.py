@@ -93,7 +93,8 @@ def _profile_factors(profile: FixedPower | OnThreshold, gains: ChannelGains,
     """(p, lead, den) of a tau-profile: alpha = p*h2/den and beta = lead*h2/den."""
     if isinstance(profile, FixedPower):
         return snr_factors(profile.p, profile.gamma, gains, params)
-    return 0.0, params.zeta * gains.ga2, np.asarray(gains.gb2, dtype=float)
+    with np.errstate(under="ignore"):  # a tiny zeta*ga2 flushes toward 0
+        return 0.0, params.zeta * gains.ga2, np.asarray(gains.gb2, dtype=float)
 
 
 def _check_profile(profile: FixedPower | OnThreshold, gains: ChannelGains,
@@ -215,7 +216,8 @@ def _profile_tau(profile: FixedPower | OnThreshold, gains: ChannelGains,
     tau = (1 - w*alpha/beta)/(1 + w).
     """
     p0, lead, den = _profile_factors(profile, gains, params)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    # under: a tiny h2/den or beta flushes toward 0, as does alpha below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         scale = gains.h2 / den
         beta = lead * scale
         over = np.isinf(beta) & (den > 0.0)
@@ -226,7 +228,7 @@ def _profile_tau(profile: FixedPower | OnThreshold, gains: ChannelGains,
     tau_at = _optimal_tau(beta, _optimal_snr(beta))
 
     def tau(p=p0):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
             alpha = p * scale
             if not any_over:
                 return tau_at(alpha)
@@ -329,8 +331,8 @@ class ChannelBatch:
     which p_threshold never makes. _threshold and _sign read the line
     unchecked; p_threshold and jamming_sign are their checked one-shot calls.
     What does not depend on P is kept from first use, so that each budget pays
-    only for what does: each jamming power's snr_factors and snr_scale,
-    tau-profile beta and s(beta), and what nj reads, gathered on the lanes
+    only for what does: the full-power profile's snr_factors and snr_scale,
+    beta and s(beta) (_full), and what nj reads, gathered on the lanes
     where the jammer can be neutralized (_neutralizable): nj solves only
     those. A transmit power p enters a fixed-power profile and its capacity as
     p/snr_scale(gamma); the kink and threshold stay in mW. ne, nj and no_eh
@@ -340,7 +342,8 @@ class ChannelBatch:
     def __init__(self, gains: ChannelGains, params: SystemParams):
         self.gains, self.params = gains, params
         gb2 = np.asarray(gains.gb2, dtype=float)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # under: a subnormal gain or zeta flushes K, or its log-domain form, toward 0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
             k = (gains.ga2 * params.n_b / gb2 - params.n_a) * params.zeta
             huge = np.isinf(k) & (gb2 > 0.0) & (params.zeta > 0.0)
             if huge.any():  # X = ga2*n_b/gb2 overflows, zeta*X may not
@@ -351,7 +354,7 @@ class ChannelBatch:
         self._k = np.where(self._unreached, math.inf, np.where(params.zeta == 0.0, 0.0, k))
         self._floor = np.where(self._unreached, math.inf,
                                np.where(self._k == math.inf, 0.0, -math.inf))
-        self._taus = {}  # jamming power -> tau(p) of that fixed-power profile
+        self._full = None  # the full-power profile and its scale, from the first budget
 
     @cached_property
     def feasible(self):
@@ -376,21 +379,26 @@ class ChannelBatch:
         links that cannot be neutralized, which read -1."""
         sign = np.sign(self._threshold(tau) - p)
         if self._unreached.any():
-            sign = np.where(self._unreached, np.sign(tau * self.params.zeta * self.gains.ga2),
-                            sign)
+            with np.errstate(under="ignore"):  # a tiny product flushes to sign 0
+                sign = np.where(self._unreached,
+                                np.sign(tau * self.params.zeta * self.gains.ga2), sign)
         if np.maximum.reduce(sign, axis=None, initial=-1.0) >= 0.0:  # only 0 and +1 lanes change
             sign = np.minimum(sign, self._ceiling)  # -1 where infeasible
         return float(sign) if sign.ndim == 0 else sign
 
-    def _profile(self, p_max, gamma):
-        """(tau(p), snr_scale(gamma)) of the fixed-power profile at jamming power
-        gamma, formed on first use: a transmit power p enters tau(p), whose lead
-        and den are its attributes, and capacity_from_factors as p/snr_scale(gamma)."""
+    def _full_power(self, p_max):
+        """(tau(p), p) at the checked budget p_max: tau(p) is the full-power
+        profile, whose lead and den are its attributes, and p = p_max/scale its
+        transmit term. _full keeps (tau(p), scale = snr_scale(gamma_max)) from
+        the first budget on."""
         _check_budget(p_max)
-        if gamma not in self._taus:
-            self._taus[gamma] = (_profile_tau(FixedPower(p_max, gamma), self.gains,
-                                              self.params), snr_scale(gamma))
-        return self._taus[gamma]
+        if self._full is None:
+            gamma = self.params.gamma_max
+            self._full = (_profile_tau(FixedPower(0.0, gamma), self.gains, self.params),
+                          snr_scale(gamma))
+        full, scale = self._full
+        with np.errstate(under="ignore"):  # a subnormal p_max/scale flushes toward 0
+            return full, p_max / scale
 
     @cached_property
     def _neutralizable(self):
@@ -419,8 +427,7 @@ class ChannelBatch:
 
     def ne(self, p_max: float) -> NEArrays:
         """Full-power operating point: both budgets spent, tau optimal for them."""
-        full, scale = self._profile(p_max, self.params.gamma_max)
-        p = p_max / scale
+        full, p = self._full_power(p_max)
         tau = full(p)
         value = capacity_from_factors(p, full.lead, full.den, tau, self.gains.h2)
         return NEArrays(tau, value, self._sign(p_max, tau) <= 0.0)
@@ -428,8 +435,8 @@ class ChannelBatch:
     def no_eh(self, p_max: float):
         """capacity(p_max, 0, gamma_max), the no-harvesting baseline: the
         full-power profile's capacity at tau == 0, where nothing is harvested."""
-        full, scale = self._profile(p_max, self.params.gamma_max)
-        return capacity_from_factors(p_max / scale, 0.0, full.den, 0.0, self.gains.h2)
+        full, p = self._full_power(p_max)
+        return capacity_from_factors(p, 0.0, full.den, 0.0, self.gains.h2)
 
     def nj(self, p_max: float) -> NJArrays:
         """Neutralizing optimum (_neutralizing_optimum); infeasible links get
@@ -457,7 +464,8 @@ def _check_budget(p_max):
 
 def _line(tau, k, floor):
     """fmax(tau*K, floor), ChannelBatch's threshold line, unchecked."""
-    with np.errstate(invalid="ignore"):  # 0*inf at tau == 0 reads the floor
+    # invalid: 0*inf at tau == 0 reads the floor; under: a tiny tau*K flushes toward 0
+    with np.errstate(invalid="ignore", under="ignore"):
         return np.fmax(tau * k, floor)
 
 
@@ -479,7 +487,8 @@ def _neutralizing_optimum(h2, k, floor, silent, scale, t_hat, p_max) -> NJArrays
     P; a subnormal t1*K misses P by under half its spacing. A t_tilde > t0
     is >= t1, and rounding is monotone. Only those short lanes are stepped."""
     t_tilde = silent(p_max / scale)
-    with np.errstate(divide="ignore", over="ignore"):  # an inf kink is exact
+    # an inf kink is exact; where a tiny one flushes, the one-ulp step below mends it
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
         p_inv = np.divide(p_max, k)
     on_threshold = t_hat < p_inv
     off = ~on_threshold
@@ -489,7 +498,8 @@ def _neutralizing_optimum(h2, k, floor, silent, scale, t_hat, p_max) -> NJArrays
     short = np.flatnonzero(off & (threshold < p_max) & (tau < TAU_LIMIT))
     p = np.asarray(np.minimum(threshold, p_max))  # np.put needs an array, 0-d too
     if short.size:
-        np.put(tau, short, np.nextafter(tau.flat[short], 1.0))
+        with np.errstate(under="ignore"):  # the step up from 0 is subnormal
+            np.put(tau, short, np.nextafter(tau.flat[short], 1.0))
         np.put(p, short, p_max)
     value = capacity_from_factors(p / scale, silent.lead, silent.den, tau, h2)
     regime = 2 - (p_inv > 1.0) + beyond  # 1 case a, 2 or 3 case b

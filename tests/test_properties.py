@@ -3,6 +3,7 @@ extreme inputs: profile coefficients from 0 to 1e13, gains of 0, subnormal
 or up to 1e300, zeta from 0 (and subnormal) to 1 and jamming budgets from 0
 to 1e300, next to ordinary values."""
 
+import dataclasses
 import math
 import warnings
 
@@ -19,6 +20,7 @@ from ehjam import (
     NEArrays,
     NJArrays,
     OnThreshold,
+    SweepConfig,
     SystemParams,
     capacity,
     jamming_sign,
@@ -26,6 +28,7 @@ from ehjam import (
     neutralization_feasible,
     nj_grid_value,
     p_threshold,
+    sir_sweep,
     solve_ne,
     solve_nj,
     transmit_budget,
@@ -464,3 +467,68 @@ def test_channel_batch_matches_the_per_budget_formulas_on_sweep_draws():
     gains = ChannelGains(*_gain_block(0, 0, 4096).T)
     budgets = [transmit_budget(GAMMA_MW, float(sir_db)) for sir_db in range(-30, 11)]
     _assert_batch_matches_per_budget_formulas(gains, reference_params(), budgets)
+
+
+def _bits(x):
+    """x with each float or array replaced by its type, dtype, shape and bytes,
+    so that -0.0, +0.0 and nan compare bit for bit."""
+    if dataclasses.is_dataclass(x):
+        return type(x), _bits(dataclasses.astuple(x))
+    if isinstance(x, (tuple, list)):
+        return type(x), tuple(map(_bits, x))
+    if isinstance(x, (float, np.ndarray, np.generic)):
+        a = np.asarray(x)
+        return type(x), a.dtype, a.shape, a.tobytes()
+    return x
+
+
+def _outcome(call):
+    """call()'s result as _bits, or the type and message of its ValueError."""
+    try:
+        return _bits(call())
+    except ValueError as e:
+        return type(e), str(e)
+
+
+_EDGE_GAIN = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1e-200, 0.2, 1.0, 1e12, 1e160,
+                                        1e300]), _log_uniform(-320.0, 300.0))
+
+
+@_SETTINGS
+@given(
+    draws=st.lists(st.tuples(_EDGE_GAIN, _EDGE_GAIN, _EDGE_GAIN), min_size=1, max_size=3),
+    zeta=st.sampled_from([0.0, 5e-324, 1e-305, 0.5, 1.0]),
+    gamma_max=st.sampled_from([0.0, 1e-300, 10.0, 1e300]),
+    p_max=st.one_of(st.just(5e-324), _log_uniform(-3.0, 5.0)),
+    tau=st.sampled_from([0.0, 5e-324, 0.5, TAU_LIMIT]),
+)
+def test_raise_mode_gives_the_default_modes_outputs(draws, zeta, gamma_max, p_max, tau):
+    # every floating-point event that the library expects is named in a local
+    # np.errstate, so np.seterr(all="raise") changes no output bit, and a
+    # documented ValueError is the same one in both modes
+    params = SystemParams(n_a=0.1, n_b=0.2, p_max=p_max, gamma_max=gamma_max, zeta=zeta)
+    h2, ga2, gb2 = (np.array(c) for c in zip(*draws))
+    batch_gains = ChannelGains(h2, ga2, gb2)
+    taus = np.array([0.0, 5e-324, 0.5, TAU_LIMIT])[:, None]
+    calls = [
+        lambda: capacity(p_max, taus, gamma_max, batch_gains, params),
+        lambda: p_threshold(taus, batch_gains, params),
+        lambda: jamming_sign(p_max, taus, batch_gains, params),
+        lambda: [getattr(ChannelBatch(batch_gains, params), name)(p_max)
+                 for name in ("ne", "nj", "no_eh")],
+        lambda: sir_sweep(SweepConfig(-30.0, 10.0, 10.0, params,
+                                      fixed_gains=ChannelGains(*draws[0]))),
+    ]
+    for draw in draws:
+        gains = ChannelGains(*draw)
+        calls += [
+            lambda gains=gains: capacity(p_max, tau, gamma_max, gains, params),
+            lambda gains=gains: p_threshold(tau, gains, params),
+            lambda gains=gains: jamming_sign(p_max, tau, gains, params),
+            lambda gains=gains: solve_ne(gains, params),
+            lambda gains=gains: solve_nj(gains, params),
+        ]
+    for call in calls:
+        default = _outcome(call)
+        with np.errstate(all="raise"):
+            assert _outcome(call) == default
