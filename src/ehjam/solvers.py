@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -179,65 +179,79 @@ def _optimal_snr(beta):
         return np.where(beta < _SERIES_BETA, series, s)
 
 
-def _optimal_tau(beta, s):
-    """alpha -> the maximizer over [0, TAU_LIMIT] of the concave canonical
-    profile, elementwise, given s = _optimal_snr(beta): 1 - tau =
-    (alpha+beta)/(s+beta), clipped, where the profile rises at _TAU_PROBE,
-    and 0 elsewhere. The derivative at tau is (beta - g(x))/(2 ln2 (1+x)), x
-    the SNR term there, so its sign at _TAU_PROBE is that of s - x, which
-    does not cancel. s + beta and beta*_TAU_PROBE do not depend on alpha and
-    are formed here, once (a tiny beta*_TAU_PROBE underflows). A rising lane
-    never has a nan tau, so the clip's upper end is rising*TAU_LIMIT: a lane
-    that does not rise reads fmin(fmax(tau, 0), 0) = +0, a nan or -inf tau
-    included."""
-    with np.errstate(over="ignore", under="ignore"):
-        s_beta, beta_probe = s + beta, beta * _TAU_PROBE
+@dataclass(frozen=True, slots=True)
+class _TauProfile:
+    """A tau-profile solved for every transmit power, built by _tau_profile: a
+    power p (mW) enters as p/unit (unit = snr_scale(gamma), 1 on the threshold
+    profile), so alpha = p/unit*gain and beta = lead*gain, gain = h2/den.
+    beta, s(beta), s + beta and beta*_TAU_PROBE do not depend on p. Where
+    lead*gain overflows (over), beta is expm1(L), L = ln(1 + beta) from
+    log1p_snr (gain alone may overflow while beta is near 1); beyond the float
+    range, L = ln(beta), s/beta = 1/w with w = omega(L - 1), the Wright omega
+    function (w + log(w) = L - 1), and tau = (1 - w*alpha/beta)/(1 + w). over
+    and omega are None where beta never overflows."""
 
-    def tau_at(alpha):
-        with np.errstate(all="ignore"):  # 0/0, x/0, overflow and underflow alike
-            tau = 1.0 - (alpha + beta) / s_beta
-            rising = s > (alpha + beta_probe) / (1.0 - _TAU_PROBE)
-        return np.fmin(np.fmax(tau, 0.0), rising * TAU_LIMIT)
-    return tau_at
+    p: float  # the profile's own transmit power, mW
+    unit: float
+    lead: np.ndarray
+    den: np.ndarray
+    h2: np.ndarray
+    gain: np.ndarray
+    beta: np.ndarray
+    s: np.ndarray
+    s_beta: np.ndarray
+    beta_probe: np.ndarray
+    over: np.ndarray | None
+    omega: np.ndarray | None
+
+    def tau(self, p=None):
+        """The maximizer over [0, TAU_LIMIT] at power p (by default the
+        profile's own), elementwise: 1 - tau = (alpha+beta)/(s+beta), clipped,
+        where the profile rises at _TAU_PROBE (s exceeds the SNR term there, a
+        test that does not cancel), and +0 elsewhere: the clip's upper end is
+        rising*TAU_LIMIT, so a nan tau, which never rises, also reads +0."""
+        # 0/0, x/0, inf/inf and overflow on lanes that the clip or the omega
+        # lanes replace; a tiny p/unit or alpha flushes toward 0
+        with np.errstate(all="ignore"):
+            p = (self.p if p is None else p) / self.unit
+            alpha = p * self.gain
+            if self.over is not None:
+                ratio = p / self.lead
+                alpha = np.where(self.over, ratio * self.beta, alpha)
+            tau = 1.0 - (alpha + self.beta) / self.s_beta
+            rising = self.s > (alpha + self.beta_probe) / (1.0 - _TAU_PROBE)
+            tau = np.fmin(np.fmax(tau, 0.0), rising * TAU_LIMIT)
+            if self.over is None:
+                return tau
+            tau_huge = np.clip((1.0 - ratio * self.omega) / (1.0 + self.omega), 0.0, TAU_LIMIT)
+        return np.where(self.over & np.isinf(self.beta), tau_huge, tau)
+
+    def value(self, p, tau):
+        """Capacity along the profile at power p (mW) and tau, unchecked."""
+        with np.errstate(under="ignore"):  # a subnormal p/unit flushes toward 0
+            p = p / self.unit
+        return capacity_from_factors(p, self.lead, self.den, tau, self.h2)
 
 
-def _profile_tau(profile: FixedPower | OnThreshold, gains: ChannelGains,
-                 params: SystemParams):
-    """tau(p): the optimal tau of a tau-profile, elementwise, at transmit term p
-    (by default the profile's own); beta = lead*h2/den and s(beta) are
-    computed once, here (gb2 == 0 on the threshold profile gives tau 0). The
-    profile's lead and den ride on tau(p) as its attributes, so capacity along
-    the profile (capacity_from_factors) needs no second snr_factors.
-
-    Where lead*h2/den overflows, beta is expm1(L) with L = ln(1 + beta) from
-    log1p_snr (h2/den alone may overflow while beta is near 1); beyond the
-    float range, L = ln(beta), s >> 1, s/beta = 1/w with w = omega(L - 1) the
-    Wright omega function (w + log(w) = L - 1), and
-    tau = (1 - w*alpha/beta)/(1 + w).
-    """
-    p0, lead, den = _profile_factors(profile, gains, params)
-    # under: a tiny h2/den or beta flushes toward 0, as does alpha below
+def _tau_profile(spec: FixedPower | OnThreshold, gains: ChannelGains,
+                 params: SystemParams) -> _TauProfile:
+    """The _TauProfile of a spec; gb2 == 0 on the threshold profile gives tau 0."""
+    p, unit = (spec.p, snr_scale(spec.gamma)) if isinstance(spec, FixedPower) else (0.0, 1.0)
+    _, lead, den = _profile_factors(spec, gains, params)
+    # under: a tiny gain or beta flushes toward 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        scale = gains.h2 / den
-        beta = lead * scale
-        over = np.isinf(beta) & (den > 0.0)
-        if any_over := over.any():
-            log1p_beta = log1p_snr(lead, gains.h2, den)
+        gain = gains.h2 / den
+        beta = lead * gain
+        over = omega = None
+        if (lanes := np.isinf(beta) & (den > 0.0)).any():
+            over, log1p_beta = lanes, log1p_snr(lead, gains.h2, den)
             beta = np.where(over, np.expm1(log1p_beta), beta)
-            w = _wright_omega(log1p_beta - 1.0)
-    tau_at = _optimal_tau(beta, _optimal_snr(beta))
-
-    def tau(p=p0):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-            alpha = p * scale
-            if not any_over:
-                return tau_at(alpha)
-            ratio = p / lead
-            tau = tau_at(np.where(over, ratio * beta, alpha))
-            tau_huge = np.clip((1.0 - ratio * w) / (1.0 + w), 0.0, TAU_LIMIT)
-        return np.where(over & np.isinf(beta), tau_huge, tau)
-    tau.lead, tau.den = lead, den
-    return tau
+            omega = _wright_omega(log1p_beta - 1.0)
+    s = _optimal_snr(beta)
+    with np.errstate(over="ignore", under="ignore"):  # a tiny beta*_TAU_PROBE underflows
+        s_beta, beta_probe = s + beta, beta * _TAU_PROBE
+    return _TauProfile(p, unit, lead, den, gains.h2, gain, beta, s, s_beta, beta_probe,
+                       over, omega)
 
 
 def capacity_tau_derivative(profile: FixedPower | OnThreshold, tau, gains: ChannelGains,
@@ -330,14 +344,11 @@ class ChannelBatch:
     -1 where the jammer cannot be neutralized; both are formed on first use,
     which p_threshold never makes. _threshold and _sign read the line
     unchecked; p_threshold and jamming_sign are their checked one-shot calls.
-    What does not depend on P is kept from first use, so that each budget pays
-    only for what does: the full-power profile's snr_factors and snr_scale,
-    beta and s(beta) (_full), and what nj reads, gathered on the lanes
-    where the jammer can be neutralized (_neutralizable): nj solves only
-    those. A transmit power p enters a fixed-power profile and its capacity as
-    p/snr_scale(gamma); the kink and threshold stay in mW. ne, nj and no_eh
-    take their capacities through capacity_from_factors, unchecked: their p
-    and tau are valid by construction."""
+    What does not depend on P is kept from first use: the full-power
+    _TauProfile (_full) and what nj reads on the lanes where the jammer can
+    be neutralized (_neutralizable). Powers are in mW throughout (each profile
+    owns its snr_scale unit); capacities are the profiles' unchecked value,
+    since p and tau are valid by construction."""
 
     def __init__(self, gains: ChannelGains, params: SystemParams):
         self.gains, self.params = gains, params
@@ -354,7 +365,6 @@ class ChannelBatch:
         self._k = np.where(self._unreached, math.inf, np.where(params.zeta == 0.0, 0.0, k))
         self._floor = np.where(self._unreached, math.inf,
                                np.where(self._k == math.inf, 0.0, -math.inf))
-        self._full = None  # the full-power profile and its scale, from the first budget
 
     @cached_property
     def feasible(self):
@@ -375,41 +385,32 @@ class ChannelBatch:
     def _sign(self, p, tau):
         """jamming_sign's rule, unchecked: p >= 0 and tau in [0, 1) broadcast
         against the gains' ga2 and gb2. It is the sign of p_th(tau) - p, except
-        on the gb2 == 0 lanes, which read that of tau*zeta*ga2, and on the
-        links that cannot be neutralized, which read -1."""
+        on the gb2 == 0 lanes, which read that of tau*zeta*ga2 (+1 where all
+        three are positive, 0 elsewhere: the product itself may flush), and on
+        the links that cannot be neutralized, which read -1."""
         sign = np.sign(self._threshold(tau) - p)
         if self._unreached.any():
-            with np.errstate(under="ignore"):  # a tiny product flushes to sign 0
-                sign = np.where(self._unreached,
-                                np.sign(tau * self.params.zeta * self.gains.ga2), sign)
+            positive = (tau > 0.0) & (self.params.zeta > 0.0) & (self.gains.ga2 > 0.0)
+            sign = np.where(self._unreached, positive, sign)
         if np.maximum.reduce(sign, axis=None, initial=-1.0) >= 0.0:  # only 0 and +1 lanes change
             sign = np.minimum(sign, self._ceiling)  # -1 where infeasible
         return float(sign) if sign.ndim == 0 else sign
 
-    def _full_power(self, p_max):
-        """(tau(p), p) at the checked budget p_max: tau(p) is the full-power
-        profile, whose lead and den are its attributes, and p = p_max/scale its
-        transmit term. _full keeps (tau(p), scale = snr_scale(gamma_max)) from
-        the first budget on."""
-        _check_budget(p_max)
-        if self._full is None:
-            gamma = self.params.gamma_max
-            self._full = (_profile_tau(FixedPower(0.0, gamma), self.gains, self.params),
-                          snr_scale(gamma))
-        full, scale = self._full
-        with np.errstate(under="ignore"):  # a subnormal p_max/scale flushes toward 0
-            return full, p_max / scale
+    @cached_property
+    def _full(self):
+        """The full-power (gamma_max) _TauProfile, formed at the first budget."""
+        return _tau_profile(FixedPower(0.0, self.params.gamma_max), self.gains, self.params)
 
     @cached_property
     def _neutralizable(self):
-        """(lanes, shape, solve), formed at nj's first budget: solve(p_max) is
-        _neutralizing_optimum on the lanes where the jammer can be neutralized,
-        with their h2, K, line floor, silent (gamma == 0) tau-profile and t_hat
-        bound. Where every lane can, lanes and shape are None and solve reads
-        the batch's own arrays. Elsewhere lanes are their flat indices in
-        shape, the gains' broadcast shape: the gains, K and floor are gathered
-        there and the profiles formed from the gathered gains, or where no
-        lane can, solve is None and nothing is formed."""
+        """(lanes, shape, args), formed at nj's first budget: args are
+        _neutralizing_optimum's K, line floor, silent (gamma == 0) _TauProfile
+        and t_hat on the lanes where the jammer can be neutralized. Where every
+        lane can, lanes and shape are None and args hold the batch's own
+        arrays; elsewhere lanes are their flat indices in shape, the gains'
+        broadcast shape, where gains, K and floor are gathered, or where no
+        lane can, args is None and nothing is formed. The silent profile reads
+        h2 alone (gamma == 0), so its lead and den are scalars."""
         gains, k, floor = self.gains, self._k, self._floor
         lanes = shape = None
         if not self.feasible.all():
@@ -420,23 +421,23 @@ class ChannelBatch:
             take = lambda x: np.broadcast_to(x, shape).take(lanes)  # flat indices
             gains = ChannelGains(take(gains.h2), take(gains.ga2), take(gains.gb2))
             k, floor = take(k), take(floor)
-        silent = _profile_tau(FixedPower(0.0, 0.0), gains, self.params)  # p comes per budget
-        t_hat = _profile_tau(OnThreshold(), gains, self.params)()
-        return lanes, shape, partial(_neutralizing_optimum, gains.h2, k, floor, silent,
-                                     snr_scale(0.0), t_hat)
+        silent = _tau_profile(FixedPower(0.0, 0.0), ChannelGains(gains.h2, 0.0, 0.0),
+                              self.params)  # p comes per budget
+        t_hat = _tau_profile(OnThreshold(), gains, self.params).tau()
+        return lanes, shape, (k, floor, silent, t_hat)
 
     def ne(self, p_max: float) -> NEArrays:
         """Full-power operating point: both budgets spent, tau optimal for them."""
-        full, p = self._full_power(p_max)
-        tau = full(p)
-        value = capacity_from_factors(p, full.lead, full.den, tau, self.gains.h2)
-        return NEArrays(tau, value, self._sign(p_max, tau) <= 0.0)
+        _check_budget(p_max)
+        full = self._full
+        tau = full.tau(p_max)
+        return NEArrays(tau, full.value(p_max, tau), self._sign(p_max, tau) <= 0.0)
 
     def no_eh(self, p_max: float):
         """capacity(p_max, 0, gamma_max), the no-harvesting baseline: the
         full-power profile's capacity at tau == 0, where nothing is harvested."""
-        full, p = self._full_power(p_max)
-        return capacity_from_factors(p, 0.0, full.den, 0.0, self.gains.h2)
+        _check_budget(p_max)
+        return self._full.value(p_max, 0.0)
 
     def nj(self, p_max: float) -> NJArrays:
         """Neutralizing optimum (_neutralizing_optimum); infeasible links get
@@ -445,13 +446,13 @@ class ChannelBatch:
         into +0.0 (p, tau, value) and 0 (regime) arrays of the gains' broadcast
         shape, and where none can, nothing is solved."""
         _check_budget(p_max)
-        lanes, shape, solve = self._neutralizable
+        lanes, shape, args = self._neutralizable
         if lanes is None:
-            return solve(p_max)
+            return _neutralizing_optimum(p_max, *args)
         out = NJArrays(np.zeros(shape), np.zeros(shape), np.zeros(shape),
                        np.zeros(shape, dtype=int))
         if lanes.size:
-            for full, part in zip(out, solve(p_max)):
+            for full, part in zip(out, _neutralizing_optimum(p_max, *args)):
                 np.put(full, lanes, part)
         return out
 
@@ -469,10 +470,9 @@ def _line(tau, k, floor):
         return np.fmax(tau * k, floor)
 
 
-def _neutralizing_optimum(h2, k, floor, silent, scale, t_hat, p_max) -> NJArrays:
+def _neutralizing_optimum(p_max, k, floor, silent, t_hat) -> NJArrays:
     """ChannelBatch.nj at budget p_max on lanes where the jammer can be
-    neutralized, from their h2, K, line floor, silent tau-profile tau(p) with
-    its snr_scale(0), and t_hat.
+    neutralized, from their K, line floor, silent _TauProfile and t_hat.
 
     Capacity along p = min(P, p_threshold(tau)) is the pointwise minimum of
     the concave threshold and full-power profiles, so it is concave in tau
@@ -486,7 +486,7 @@ def _neutralizing_optimum(h2, k, floor, silent, scale, t_hat, p_max) -> NJArrays
     to >= P. A subnormal P/K (t0 = 0 too) is within 2^-1075 of t0, so t1*K >
     P; a subnormal t1*K misses P by under half its spacing. A t_tilde > t0
     is >= t1, and rounding is monotone. Only those short lanes are stepped."""
-    t_tilde = silent(p_max / scale)
+    t_tilde = silent.tau(p_max)
     # an inf kink is exact; where a tiny one flushes, the one-ulp step below mends it
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         p_inv = np.divide(p_max, k)
@@ -501,7 +501,7 @@ def _neutralizing_optimum(h2, k, floor, silent, scale, t_hat, p_max) -> NJArrays
         with np.errstate(under="ignore"):  # the step up from 0 is subnormal
             np.put(tau, short, np.nextafter(tau.flat[short], 1.0))
         np.put(p, short, p_max)
-    value = capacity_from_factors(p / scale, silent.lead, silent.den, tau, h2)
+    value = silent.value(p, tau)
     regime = 2 - (p_inv > 1.0) + beyond  # 1 case a, 2 or 3 case b
     return NJArrays(p, tau, value, regime)
 

@@ -151,7 +151,7 @@ def test_lambert_w0_fifty_digit_points(z, expected):
 
 # --- Wright omega -------------------------------------------------------------
 
-# _profile_tau calls omega at x = L - 1 with L = ln(1 + beta) > 709.78
+# _tau_profile calls omega at x = L - 1 with L = ln(1 + beta) > 709.78
 @_SETTINGS
 @given(st.floats(700.0, 1e10))
 def test_wright_omega_matches_scipy(log1p_beta):

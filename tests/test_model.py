@@ -542,6 +542,10 @@ def test_jammer_best_response_interference_free_jammer():
     # nothing harvested at tau == 0: capacity is flat in gamma
     assert jamming_sign(5.0, 0.0, gains, params) == 0.0
     assert jamming_sign(5.0, 0.5, gains, params) == 1.0
+    # tau*zeta*ga2 = 0.5e-400 flushes to 0, yet every factor is positive
+    gains = ChannelGains(1.0, 1e-200, 0.0)
+    assert jamming_sign(0.0, 0.5, gains, reference_params(zeta=1e-200)) == 1.0
+    assert jamming_sign(0.0, 0.5, gains, reference_params(zeta=0.0)) == 0.0  # exactly 0
 
 
 def test_jammer_best_response_validates_strategy():

@@ -8,6 +8,7 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -35,11 +36,21 @@ from ehjam import (
 )
 from ehjam.experiments import _gain_block
 from ehjam.model import capacity_from_factors, snr_scale
-from ehjam.solvers import _TAU_PROBE, _optimal_snr, _optimal_tau, _profile_tau, _tau_derivative
+from ehjam.solvers import (_TAU_PROBE, _optimal_snr, _tau_derivative, _tau_profile,
+                           _TauProfile)
 from helpers import GAMMA_MW, counted_batches, params_at_sir, reference_params
 
 # deterministic examples, no example database: the suite reruns identically
 _SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def _optimal_tau(beta, s):
+    """The tau rule on raw (beta, s): a _TauProfile whose transmit power is
+    alpha itself (unit and h2/den 1), with no overflow lanes."""
+    with np.errstate(over="ignore", under="ignore"):  # as _tau_profile forms them
+        s_beta, beta_probe = s + beta, beta * _TAU_PROBE
+    return _TauProfile(p=0.0, unit=1.0, lead=beta, den=1.0, h2=1.0, gain=1.0, beta=beta, s=s,
+                       s_beta=s_beta, beta_probe=beta_probe, over=None, omega=None)
 
 
 def _log_uniform(lo_exp: float, hi_exp: float):
@@ -54,14 +65,14 @@ _GAIN = st.one_of(st.just(0.0), _log_uniform(-3.0, 3.0), _log_uniform(12.0, 15.0
 @given(st.lists(st.tuples(_COEFFICIENT, _COEFFICIENT), min_size=1, max_size=16))
 def test_optimal_tau_is_the_stationary_point(pairs):
     alpha, beta = (np.array(c) for c in zip(*pairs))
-    tau = _optimal_tau(beta, _optimal_snr(beta))(alpha)
+    tau = _optimal_tau(beta, _optimal_snr(beta)).tau(alpha)
     assert np.all(np.isfinite(tau))
     assert np.all((tau >= 0.0) & (tau <= TAU_LIMIT))
     interior = (tau > 0.0) & (tau < TAU_LIMIT)
     resid = _tau_derivative(tau[interior], alpha[interior], beta[interior])
     assert np.all(np.abs(resid) <= 1e-12 * np.maximum(1.0, alpha + beta)[interior])
     for i, (a, b) in enumerate(pairs):
-        assert _optimal_tau(b, _optimal_snr(b))(a) == tau[i]
+        assert _optimal_tau(b, _optimal_snr(b)).tau(a) == tau[i]
 
 
 @_SETTINGS
@@ -71,7 +82,7 @@ def test_optimal_tau_accurate_near_branch_point(beta):
     # the returned tau against (1+s)*log1p(s) - s = beta, summed as its
     # alternating series so that no digits cancel
     alpha = np.sqrt(2.0 * beta) / 2.0  # puts tau near 1/2
-    tau = float(_optimal_tau(beta, _optimal_snr(beta))(alpha))
+    tau = float(_optimal_tau(beta, _optimal_snr(beta)).tau(alpha))
     s = (alpha + beta * tau) / (1.0 - tau)
     g = sum((-1) ** n * s ** n / (n * (n - 1)) for n in range(30, 1, -1))
     assert abs(g - beta) <= 1e-12 * beta
@@ -85,6 +96,23 @@ def test_optimal_tau_accurate_near_branch_point(beta):
     p_max=_log_uniform(-4.0, 4.0),
 )
 def test_array_cores_match_scalar_solvers(draws, zeta, gamma_max, p_max):
+    _assert_array_cores_match_scalar_solvers(draws, zeta, gamma_max, p_max)
+
+
+# links where beta or h2/den overflows, beyond _GAIN's 1e15: log1p_snr's
+# rescue, and the Wright-omega lanes where even its expm1 overflows
+_BETA_OVERFLOWS = [(1e308, 1.0, 0.2), (1e300, 1.0, 1e-12), (1.0, 1e-310, 1e-310),
+                   (1e300, 1e300, 1e-320), (1e287, 1e284, 1e-7)]
+
+
+@pytest.mark.parametrize("p_max", [1e-4, 1.0, 1e4])
+@pytest.mark.parametrize("gamma_max", [0.0, 10.0])
+@pytest.mark.parametrize("zeta", [0.0, 0.8, 1.0])
+def test_array_cores_match_scalar_solvers_where_beta_overflows(zeta, gamma_max, p_max):
+    _assert_array_cores_match_scalar_solvers(_BETA_OVERFLOWS, zeta, gamma_max, p_max)
+
+
+def _assert_array_cores_match_scalar_solvers(draws, zeta, gamma_max, p_max):
     h2, ga2, gb2 = (np.array(c) for c in zip(*draws))
     params = SystemParams(n_a=0.1, n_b=0.2, p_max=p_max, gamma_max=gamma_max, zeta=zeta)
     ne = ChannelBatch(ChannelGains(h2, ga2, gb2), params).ne(params.p_max)
@@ -198,8 +226,8 @@ def _nj_nudging_until_reached(batch, p_max):
     kink settled by nudging tau one ulp per pass until the threshold reaches P
     (an error after 64 passes rather than a hang)."""
     gains, params, feasible = batch.gains, batch.params, batch.feasible
-    t_tilde = _profile_tau(FixedPower(p_max, 0.0), gains, params)()
-    k, t_hat = p_threshold(1.0, gains, params), _profile_tau(OnThreshold(), gains, params)()
+    t_tilde = _tau_profile(FixedPower(p_max, 0.0), gains, params).tau()
+    k, t_hat = p_threshold(1.0, gains, params), _tau_profile(OnThreshold(), gains, params).tau()
     with np.errstate(divide="ignore", over="ignore"):
         p_inv = np.divide(p_max, k)
     on_threshold = t_hat < p_inv
@@ -265,11 +293,11 @@ def _nj_all_lanes(batch, p_max):
     feasible."""
     gains, params, feasible = batch.gains, batch.params, batch.feasible
     ceiling = np.where(feasible, math.inf, 0.0)
-    silent, scale = _profile_tau(FixedPower(p_max, 0.0), gains, params), snr_scale(0.0)
-    t_tilde = silent(p_max / scale)
+    silent, scale = _tau_profile(FixedPower(p_max, 0.0), gains, params), snr_scale(0.0)
+    t_tilde = silent.tau(p_max)
     with np.errstate(divide="ignore", over="ignore"):
         p_inv = np.divide(p_max, batch._k)
-    t_hat = _profile_tau(OnThreshold(), gains, params)()
+    t_hat = _tau_profile(OnThreshold(), gains, params).tau()
     on_threshold = t_hat < p_inv
     off = ~on_threshold
     beyond = off & (t_tilde > p_inv)
@@ -366,19 +394,20 @@ def test_optimal_tau_equals_the_select_form_bit_for_bit(pairs):
         s = _optimal_snr(beta)
     want, rising = _optimal_tau_by_select(alpha, beta, s)
     with np.errstate(all="raise"):
-        got = _optimal_tau(beta, s)(alpha)
+        got = _optimal_tau(beta, s).tau(alpha)
     assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
     assert not np.signbit(got).any() and not got[~rising].any()
     for i in range(len(pairs)):
         with np.errstate(all="raise"):
-            one = _optimal_tau(beta[i], s[i])(alpha[i])
+            one = _optimal_tau(beta[i], s[i]).tau(alpha[i])
         assert np.asarray(one).tobytes() == got[i].tobytes()
 
 
 def _jamming_sign_by_where(p, tau, gains, params):
-    """jamming_sign's rule over every lane, K formed by p_threshold at tau."""
-    slope = np.where(np.asarray(gains.gb2) == 0.0, tau * params.zeta * gains.ga2,
-                     p_threshold(tau, gains, params) - p)
+    """jamming_sign's rule over every lane, K formed by p_threshold at tau;
+    where gb2 == 0, the exact sign of tau*zeta*ga2."""
+    positive = (tau > 0.0) & (params.zeta > 0.0) & (gains.ga2 > 0.0)
+    slope = np.where(np.asarray(gains.gb2) == 0.0, positive, p_threshold(tau, gains, params) - p)
     sign = np.where(neutralization_feasible(gains, params), np.sign(slope), -1.0)
     return float(sign) if sign.ndim == 0 else sign
 
@@ -386,7 +415,7 @@ def _jamming_sign_by_where(p, tau, gains, params):
 def _ne_per_budget(gains, params, p_max):
     """Reference for ChannelBatch.ne: the jammer's sign re-forms K at the budget."""
     gamma = params.gamma_max
-    tau = _profile_tau(FixedPower(p_max, gamma), gains, params)()
+    tau = _tau_profile(FixedPower(p_max, gamma), gains, params).tau()
     value = capacity(p_max, tau, gamma, gains, params)
     return NEArrays(tau, value, _jamming_sign_by_where(p_max, tau, gains, params) <= 0.0)
 
@@ -395,8 +424,8 @@ def _nj_nested_where(gains, params, p_max):
     """Reference for ChannelBatch.nj: every lane decided by nested np.where,
     stepped by nextafter and read from the line where tau == 0."""
     feasible = neutralization_feasible(gains, params)
-    t_tilde = _profile_tau(FixedPower(p_max, 0.0), gains, params)()
-    t_hat = _profile_tau(OnThreshold(), gains, params)()
+    t_tilde = _tau_profile(FixedPower(p_max, 0.0), gains, params).tau()
+    t_hat = _tau_profile(OnThreshold(), gains, params).tau()
     at_zero, k = p_threshold(0.0, gains, params), p_threshold(1.0, gains, params)
     with np.errstate(divide="ignore", over="ignore"):
         p_inv = np.divide(p_max, k)
@@ -441,6 +470,8 @@ _UNREACHED_OR_HUGE_K = st.one_of(st.just(0.0), _log_uniform(-323.0, -310.0))
     budgets=st.lists(st.one_of(_DEEP_SUBNORMAL, _log_uniform(-300.0, 300.0)),
                      min_size=1, max_size=3),
 )
+# gb2 == 0 where tau*zeta*ga2 flushes to 0: the jammer's sign there is still +1
+@example(draws=[(1.0, 1e-200, 0.0)], zeta=1e-200, gamma_max=10.0, budgets=[5e-324, 1.0])
 def test_channel_batch_matches_the_per_budget_formulas(draws, zeta, gamma_max, budgets):
     # the line and lane indices kept per chunk give the bits that forming K
     # at every budget and deciding every lane by np.where give, dtype and

@@ -28,7 +28,7 @@ from ehjam import (
 )
 from ehjam import model, solvers
 from ehjam.model import TAU_LIMIT
-from ehjam.solvers import _profile_tau
+from ehjam.solvers import _tau_profile
 from helpers import (
     consistent_instances,
     counted_batches,
@@ -113,7 +113,7 @@ def test_derivative_vanishes_at_returned_roots():
             continue
         count += 1
         for prof in _tau_profiles(params).values():
-            tau = float(_profile_tau(prof, gains, params)())
+            tau = float(_tau_profile(prof, gains, params).tau())
             if 0.0 < tau < TAU_LIMIT:
                 resid = capacity_tau_derivative(prof, tau, gains, params)
                 assert abs(resid) <= 1e-10
@@ -124,7 +124,7 @@ def test_derivative_vanishes_at_returned_roots():
 def test_tau_star_matches_dense_grid_argmax():
     gains = ChannelGains(0.7, 1.3, 0.15)
     params = params_at_sir(-12.0)
-    tau = float(_profile_tau(_tau_profiles(params)["tau_star"], gains, params)())
+    tau = float(_tau_profile(_tau_profiles(params)["tau_star"], gains, params).tau())
     tau_grid, value_grid = ne_grid_optimum(gains, params, n=1_000_000)
     assert abs(tau - tau_grid) <= 1e-5
     value = capacity(params.p_max, tau, params.gamma_max, gains, params)
@@ -136,7 +136,7 @@ def test_tau_star_exact_for_tiny_harvesting_coefficient():
     # value at TAU_LIMIT falls short of it by ~2.5e-5 relative
     gains = ChannelGains(1e-14, 1.0, 0.2)
     params = SystemParams(n_a=0.1, n_b=0.2, p_max=1.0, gamma_max=10.0, zeta=1.0)
-    tau = float(_profile_tau(_tau_profiles(params)["tau_star"], gains, params)())
+    tau = float(_tau_profile(_tau_profiles(params)["tau_star"], gains, params).tau())
     gaps = np.logspace(-12.0, -3.0, 200_001)  # 1 - tau, ratio step 1.0001
     vals = capacity(params.p_max, 1.0 - gaps, params.gamma_max, gains, params)
     best = int(np.argmax(vals))
@@ -161,7 +161,7 @@ def test_tau_star_exact_for_tiny_harvesting_coefficient():
 ])
 def test_tau_optimum_where_beta_overflows(optimum, gains, expected):
     params = SystemParams(n_a=0.1, n_b=0.2, p_max=10.0, gamma_max=10.0, zeta=1.0)
-    tau = _profile_tau(_tau_profiles(params)[optimum], gains, params)()
+    tau = _tau_profile(_tau_profiles(params)[optimum], gains, params).tau()
     assert float(tau) == pytest.approx(expected, rel=1e-12)
 
 
@@ -180,7 +180,7 @@ def test_tau_hat_and_tilde_beat_profile_grids():
         count += 1
         profiles = _tau_profiles(params)
         for prof in (profiles["tau_hat"], profiles["tau_tilde"]):
-            tau = float(_profile_tau(prof, gains, params)())
+            tau = float(_tau_profile(prof, gains, params).tau())
             vals = tau_profile_capacity(prof, taus, gains, params)
             best = int(np.argmax(vals))
             v_opt = tau_profile_capacity(prof, tau, gains, params)
@@ -191,7 +191,7 @@ def test_tau_hat_and_tilde_beat_profile_grids():
 def test_tau_tilde_boundary_flag_when_nothing_harvested():
     gains = ChannelGains(1.0, 1.0, 0.2)
     params = reference_params(zeta=1e-12, p_max=10.0)
-    tau = _profile_tau(_tau_profiles(params)["tau_tilde"], gains, params)()
+    tau = _tau_profile(_tau_profiles(params)["tau_tilde"], gains, params).tau()
     assert tau == 0.0
 
 
@@ -525,8 +525,8 @@ def test_channel_batch_builds_one_threshold_line_per_chunk():
 def test_channel_batch_ne_never_solves_the_threshold_profile(monkeypatch):
     # t_hat is nj's alone: a full-power solve, scalar or batched, leaves it unsolved
     profiles = []
-    real = solvers._profile_tau
-    monkeypatch.setattr(solvers, "_profile_tau",
+    real = solvers._tau_profile
+    monkeypatch.setattr(solvers, "_tau_profile",
                         lambda profile, *a: profiles.append(profile) or real(profile, *a))
     batch = ChannelBatch(ChannelGains(np.array([1.0, 0.3, 1.0]), np.array([1.0, 2.0, 1.0]),
                                       np.array([0.2, 1.5, 0.0])), reference_params())
