@@ -26,12 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import (
-    ChannelGains,
-    SystemParams,
-    db_to_linear,
-    linear_to_db,
-)
+from .model import ChannelGains, SystemParams, db_to_linear, linear_to_db
 from .solvers import ChannelBatch
 
 __all__ = [

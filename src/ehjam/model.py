@@ -9,8 +9,8 @@ headers), never inside the math.
 
 All functions here are pure and array-native: gains, powers and tau may be
 numpy arrays that broadcast elementwise, and scalar arguments are the 0-d
-case, returned as floats. The game played on this link, the neutralization
-threshold and the jammer's best response included, lives in solvers.
+case, returned as floats. The game played on this link, strategies,
+tau cap and neutralization threshold included, lives in solvers.
 """
 
 from __future__ import annotations
@@ -21,31 +21,18 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "TAU_LIMIT",
     "ChannelGains",
-    "LegitStrategy",
-    "NeutralizationInfeasible",
-    "StrategyProfile",
     "SystemParams",
     "capacity",
     "capacity_from_factors",
     "db_to_linear",
     "linear_to_db",
     "log1p_snr",
-    "neutralization_feasible",
     "snr_factors",
     "snr_scale",
 ]
 
 _LN2 = math.log(2.0)
-
-#: Optimizers never place the EH time fraction above this; capacity at
-#: tau == 1 is defined as the (zero) limit of the vanishing transmit slice.
-TAU_LIMIT = 1.0 - 1e-9
-
-
-class NeutralizationInfeasible(ValueError):
-    """The harvesting link is too weak to ever force the jammer silent."""
 
 
 def db_to_linear(x_db):
@@ -122,32 +109,6 @@ class SystemParams:
             raise ValueError("zeta must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class LegitStrategy:
-    """Action of the legitimate pair: transmit power and EH time fraction."""
-
-    p: float
-    tau: float
-
-    def __post_init__(self):
-        if not (self.p >= 0.0 and math.isfinite(self.p)):
-            raise ValueError("p must be >= 0 and finite")
-        if not 0.0 <= self.tau < 1.0:
-            raise ValueError("tau must lie in [0, 1)")
-
-
-@dataclass(frozen=True)
-class StrategyProfile:
-    """Joint action: legitimate strategy plus the jamming power."""
-
-    legit: LegitStrategy
-    gamma: float
-
-    def __post_init__(self):
-        if not (self.gamma >= 0.0 and math.isfinite(self.gamma)):
-            raise ValueError("gamma must be >= 0 and finite")
-
-
 def _check_nonneg(name, value):
     if not (np.asarray(value) >= 0.0).all():
         raise ValueError(f"{name} must be >= 0")
@@ -222,13 +183,3 @@ def capacity(p, tau, gamma, gains: ChannelGains, params: SystemParams):
     out = capacity_from_factors(*snr_factors(p, gamma, gains, params),
                                 np.asarray(tau, dtype=float), gains.h2)
     return float(out) if np.ndim(out) == 0 else out
-
-
-def neutralization_feasible(gains: ChannelGains, params: SystemParams):
-    """True where ga2*n_b > gb2*n_a: the harvesting link beats the jamming
-    link, elementwise. Exactly, that is K > 0 when zeta > 0, K the slope of
-    the neutralization threshold that solvers.ChannelBatch owns; rounded, a
-    feasible link may read K = 0 and an infeasible one K > 0, so ChannelBatch
-    decides feasibility by this test, not by K's sign."""
-    with np.errstate(under="ignore"):  # a subnormal gain's product flushes toward 0
-        return gains.ga2 * params.n_b > gains.gb2 * params.n_a

@@ -17,7 +17,8 @@ without comparing values.
 ChannelBatch is the one array core, for any transmit budget P, and the one
 owner of the neutralization threshold: p_threshold and jamming_sign are its
 checked one-shot calls, and the scalar solvers its one-channel case at
-params.p_max.
+params.p_max. The players' strategies, TAU_LIMIT and neutralization_feasible
+belong to the game too.
 """
 
 from __future__ import annotations
@@ -31,32 +32,32 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (
-    TAU_LIMIT,
     ChannelGains,
-    LegitStrategy,
-    NeutralizationInfeasible,
-    StrategyProfile,
     SystemParams,
     capacity,
     capacity_from_factors,
     log1p_snr,
-    neutralization_feasible,
     snr_factors,
     snr_scale,
 )
 
 __all__ = [
+    "TAU_LIMIT",
     "ChannelBatch",
     "EquilibriumResult",
     "FixedPower",
+    "LegitStrategy",
     "NEArrays",
     "NJArrays",
     "NJ_REGIMES",
+    "NeutralizationInfeasible",
     "OnThreshold",
     "SolutionRegime",
+    "StrategyProfile",
     "capacity_tau_derivative",
     "jamming_sign",
     "ne_grid_optimum",
+    "neutralization_feasible",
     "nj_grid_value",
     "p_threshold",
     "solve_ne",
@@ -64,6 +65,10 @@ __all__ = [
     "tau_profile_capacity",
     "verify_saddle_point",
 ]
+
+#: Optimizers never place the EH time fraction above this; capacity at
+#: tau == 1 is defined as the (zero) limit of the vanishing transmit slice.
+TAU_LIMIT = 1.0 - 1e-9
 
 #: The optimal EH fraction is 0 wherever the profile derivative is <= 0 here.
 _TAU_PROBE = 1e-6
@@ -73,6 +78,36 @@ _TAU_PROBE = 1e-6
 _SERIES_BETA = 1e-6
 
 _SQRT_2E = math.sqrt(2.0 * math.e)
+
+
+class NeutralizationInfeasible(ValueError):
+    """The harvesting link is too weak to ever force the jammer silent."""
+
+
+@dataclass(frozen=True)
+class LegitStrategy:
+    """Action of the legitimate pair: transmit power and EH time fraction."""
+
+    p: float
+    tau: float
+
+    def __post_init__(self):
+        if not (self.p >= 0.0 and math.isfinite(self.p)):
+            raise ValueError("p must be >= 0 and finite")
+        if not 0.0 <= self.tau < 1.0:
+            raise ValueError("tau must lie in [0, 1)")
+
+
+@dataclass(frozen=True)
+class StrategyProfile:
+    """Joint action: legitimate strategy plus the jamming power."""
+
+    legit: LegitStrategy
+    gamma: float
+
+    def __post_init__(self):
+        if not (self.gamma >= 0.0 and math.isfinite(self.gamma)):
+            raise ValueError("gamma must be >= 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -104,7 +139,7 @@ def _check_profile(profile: FixedPower | OnThreshold, gains: ChannelGains,
         return
     if not isinstance(profile, OnThreshold):
         raise TypeError(f"unknown tau-profile: {profile!r}")
-    if not neutralization_feasible(gains, params):
+    if not np.all(neutralization_feasible(gains, params)):
         raise NeutralizationInfeasible("threshold profile requires ga2/n_a > gb2/n_b")
     if np.any(np.asarray(gains.gb2) == 0.0):
         raise ValueError("threshold profile is undefined when gb2 == 0")
@@ -256,13 +291,25 @@ def _tau_profile(spec: FixedPower | OnThreshold, gains: ChannelGains,
 
 def capacity_tau_derivative(profile: FixedPower | OnThreshold, tau, gains: ChannelGains,
                             params: SystemParams):
-    """Analytic derivative of capacity along a tau-profile."""
+    """Analytic derivative of capacity along a tau-profile, elementwise:
+    ((p + lead)/((1 - tau)/g + x) - L)/ln 4, g = h2/den, x = p + tau*lead and
+    L = ln(1 + x*g/(1 - tau)), formed from log1p_snr's ln(1 + x*g) and ln(1 +
+    (p + lead)*g), so g need not lie in the float range; +-inf only where the
+    slope itself does not."""
     if not np.all(((t := np.asarray(tau)) >= 0.0) & (t < 1.0)):
         raise ValueError("tau must lie in [0, 1)")
     _check_profile(profile, gains, params)
     p, lead, den = _profile_factors(profile, gains, params)
-    scale = gains.h2 / den
-    out = _tau_derivative(tau, p * scale, lead * scale)
+    full, remain = p + lead, 1.0 - t
+    # divide, over: 1/S = inf where S is 0 or tiny; invalid: a 0/0 share, replaced;
+    # under: tiny terms flush toward 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
+        x = p + t * lead
+        log_x, log_full = log1p_snr(x, gains.h2, den), log1p_snr(full, gains.h2, den)
+        log_term = log_x + np.log1p(-t / remain * np.expm1(-log_x))
+        inv_snr = np.exp(-log_full) / -np.expm1(-log_full)  # 1/S
+        share = np.where(full > 0.0, x / full, 1.0)
+        out = (1.0 / (remain * inv_snr + share) - log_term) / math.log(4.0)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -325,6 +372,15 @@ class NJArrays(NamedTuple):
     regime: np.ndarray  # index into NJ_REGIMES
 
 
+def neutralization_feasible(gains: ChannelGains, params: SystemParams):
+    """True where the jammer can be neutralized, elementwise: where ga2*n_b >
+    gb2*n_a, or gb2 == 0 and ga2 > 0 however ga2*n_b rounds. Exactly, that is
+    K > 0 when zeta > 0; a rounded K may have either sign, so it is not read."""
+    with np.errstate(under="ignore"):  # a subnormal gain's product flushes toward 0
+        return ((gains.ga2 * params.n_b > gains.gb2 * params.n_a)
+                | ((gains.gb2 == 0.0) & (gains.ga2 > 0.0)))
+
+
 class ChannelBatch:
     """Both operating points of an array of channels (0-d for scalar gains) at
     any transmit budget P (params.p_max is not read), and the one owner of the
@@ -340,15 +396,14 @@ class ChannelBatch:
     tau == 0 reads the floor, and every other lane tau*K (-0 at tau == 0
     where K < 0, which p_threshold returns as +0). feasible
     (neutralization_feasible) marks where the jammer can be neutralized; the
-    ceiling, +inf there and -1 elsewhere, caps the jammer's sign, which reads
-    -1 where the jammer cannot be neutralized; both are formed on first use,
-    which p_threshold never makes. _threshold and _sign read the line
-    unchecked; p_threshold and jamming_sign are their checked one-shot calls.
-    What does not depend on P is kept from first use: the full-power
-    _TauProfile (_full) and what nj reads on the lanes where the jammer can
-    be neutralized (_neutralizable). Powers are in mW throughout (each profile
-    owns its snr_scale unit); capacities are the profiles' unchecked value,
-    since p and tau are valid by construction."""
+    ceiling, +inf there and -1 elsewhere, caps the jammer's sign; both are
+    formed on first use, which p_threshold never makes. _threshold and _sign
+    read the line unchecked; p_threshold and jamming_sign are their checked
+    one-shot calls. What does not depend on P is kept from first use: the
+    full-power _TauProfile (_full) and what nj reads on the lanes where the
+    jammer can be neutralized (_neutralizable). Powers are in mW throughout
+    (each profile owns its snr_scale unit); capacities are the profiles'
+    unchecked value, since p and tau are valid by construction."""
 
     def __init__(self, gains: ChannelGains, params: SystemParams):
         self.gains, self.params = gains, params
@@ -385,13 +440,11 @@ class ChannelBatch:
     def _sign(self, p, tau):
         """jamming_sign's rule, unchecked: p >= 0 and tau in [0, 1) broadcast
         against the gains' ga2 and gb2. It is the sign of p_th(tau) - p, except
-        on the gb2 == 0 lanes, which read that of tau*zeta*ga2 (+1 where all
-        three are positive, 0 elsewhere: the product itself may flush), and on
-        the links that cannot be neutralized, which read -1."""
+        on the gb2 == 0 lanes (+1 where tau, zeta > 0, whose product may flush;
+        0 elsewhere), and -1 where the jammer cannot be neutralized."""
         sign = np.sign(self._threshold(tau) - p)
         if self._unreached.any():
-            positive = (tau > 0.0) & (self.params.zeta > 0.0) & (self.gains.ga2 > 0.0)
-            sign = np.where(self._unreached, positive, sign)
+            sign = np.where(self._unreached, (tau > 0.0) & (self.params.zeta > 0.0), sign)
         if np.maximum.reduce(sign, axis=None, initial=-1.0) >= 0.0:  # only 0 and +1 lanes change
             sign = np.minimum(sign, self._ceiling)  # -1 where infeasible
         return float(sign) if sign.ndim == 0 else sign

@@ -24,6 +24,7 @@ from ehjam import (
     SweepConfig,
     SystemParams,
     capacity,
+    capacity_tau_derivative,
     jamming_sign,
     ne_grid_optimum,
     neutralization_feasible,
@@ -545,6 +546,8 @@ def test_raise_mode_gives_the_default_modes_outputs(draws, zeta, gamma_max, p_ma
         lambda: capacity(p_max, taus, gamma_max, batch_gains, params),
         lambda: p_threshold(taus, batch_gains, params),
         lambda: jamming_sign(p_max, taus, batch_gains, params),
+        lambda: capacity_tau_derivative(FixedPower(p_max, gamma_max), taus, batch_gains, params),
+        lambda: capacity_tau_derivative(OnThreshold(), taus, batch_gains, params),
         lambda: [getattr(ChannelBatch(batch_gains, params), name)(p_max)
                  for name in ("ne", "nj", "no_eh")],
         lambda: sir_sweep(SweepConfig(-30.0, 10.0, 10.0, params,
@@ -556,6 +559,9 @@ def test_raise_mode_gives_the_default_modes_outputs(draws, zeta, gamma_max, p_ma
             lambda gains=gains: capacity(p_max, tau, gamma_max, gains, params),
             lambda gains=gains: p_threshold(tau, gains, params),
             lambda gains=gains: jamming_sign(p_max, tau, gains, params),
+            lambda gains=gains: capacity_tau_derivative(FixedPower(p_max, gamma_max), tau,
+                                                        gains, params),
+            lambda gains=gains: capacity_tau_derivative(OnThreshold(), tau, gains, params),
             lambda gains=gains: solve_ne(gains, params),
             lambda gains=gains: solve_nj(gains, params),
         ]

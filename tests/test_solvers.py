@@ -1,3 +1,5 @@
+import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -27,8 +29,7 @@ from ehjam import (
     verify_saddle_point,
 )
 from ehjam import model, solvers
-from ehjam.model import TAU_LIMIT
-from ehjam.solvers import _tau_profile
+from ehjam.solvers import TAU_LIMIT, _tau_derivative, _tau_profile
 from helpers import (
     consistent_instances,
     counted_batches,
@@ -62,6 +63,58 @@ def test_derivative_matches_finite_differences():
         num = (tau_profile_capacity(prof, tau + h, gains, params)
                - tau_profile_capacity(prof, tau - h, gains, params)) / (2 * h)
         assert ana == pytest.approx(num, rel=1e-6, abs=1e-9)
+
+
+def _exact_factors(profile, ga2, gb2, params):
+    """(p, lead, den) of a tau-profile, as exact fractions of the float inputs:
+    alpha = p*h2/den and beta = lead*h2/den."""
+    f = Fraction
+    if isinstance(profile, OnThreshold):
+        return f(0), f(params.zeta) * f(ga2), f(gb2)
+    scale = max(f(profile.gamma), f(1))
+    share = f(profile.gamma) / scale
+    return (f(profile.p) / scale, f(params.zeta) * (share * f(ga2) + f(params.n_a) / scale),
+            share * f(gb2) + f(params.n_b) / scale)
+
+
+def test_derivative_is_clean_over_a_grid_of_edge_gains():
+    # every triple of gains in {0, subnormal, ordinary, huge} at three zetas,
+    # six fixed-power profiles and the threshold profile on the links where it
+    # is defined, at tau in {0, 1/2, TAU_LIMIT}: no nan and no warning, the
+    # same bits in numpy's raise mode, +inf only where the exact slope exceeds
+    # the float range, and the canonical (alpha, beta) form's value wherever
+    # alpha and beta are normal floats
+    edges = [0.0, 1e-320, 1e-310, 0.2, 1.0, 1e12, 1e160, 1e300]
+    h2, ga2, gb2 = (a.ravel() for a in np.meshgrid(edges, edges, edges, indexing="ij"))
+    taus = np.array([0.0, 0.5, TAU_LIMIT])
+    low, top = Fraction(sys.float_info.min), Fraction(sys.float_info.max)
+    for zeta in (0.0, 0.8, 1.0):
+        params = SystemParams(n_a=0.1, n_b=0.2, p_max=1.0, gamma_max=10.0, zeta=zeta)
+        threshold = neutralization_feasible(ChannelGains(h2, ga2, gb2), params) & (gb2 > 0.0)
+        cases = [(FixedPower(p, gamma), np.full(h2.size, True))
+                 for p in (1e-4, 1.0, 1e4) for gamma in (0.0, 10.0)]
+        for profile, lanes in [*cases, (OnThreshold(), threshold)]:
+            gains = ChannelGains(h2[lanes], ga2[lanes], gb2[lanes])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                slope = capacity_tau_derivative(profile, taus[:, None], gains, params)
+            with np.errstate(all="raise"):
+                raised = capacity_tau_derivative(profile, taus[:, None], gains, params)
+            assert raised.tobytes() == slope.tobytes()
+            assert not np.isnan(slope).any()
+            for lane, (h, a, b) in enumerate(zip(gains.h2, gains.ga2, gains.gb2)):
+                p, lead, den = _exact_factors(profile, a, b, params)
+                alpha, beta = p * Fraction(h) / den, lead * Fraction(h) / den
+                column = slope[:, lane]
+                if np.isinf(column).any():
+                    # at tau = 0, (alpha + beta)/(1 + alpha) - ln(1 + alpha) > ln 4 * max float
+                    assert column[0] == math.inf and np.isfinite(column[1:]).all()
+                    assert (alpha + beta) / (1 + alpha) > Fraction(13863, 10000) * top + 2000
+                elif all(x == 0 or low <= x <= top for x in (p, lead, den, alpha, beta)):
+                    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                        ref = _tau_derivative(taus, float(alpha), float(beta))
+                    close = np.abs(column - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))
+                    assert (close | ~np.isfinite(ref)).all()  # or the canonical form overflows
 
 
 def test_derivative_domain_and_profile_errors():
@@ -290,6 +343,19 @@ def test_solve_nj_interference_free_jammer():
     assert res.profile.legit.p == params.p_max
     legit = res.profile.legit
     assert jamming_sign(legit.p, legit.tau, gains, params) >= 0.0
+
+
+def test_interference_free_jammer_is_neutralizable_wherever_it_is_harvested():
+    # gb2 == 0: the jammer can be neutralized iff ga2 > 0, also where ga2*n_b
+    # flushes to 0, and feasibility, the jammer's sign and solve_nj agree
+    params = SystemParams(n_a=0.1, n_b=0.2, p_max=10.0, gamma_max=10.0, zeta=0.8)
+    gains = ChannelGains(1.0, 5e-324, 0.0)
+    assert neutralization_feasible(gains, params) is True
+    assert jamming_sign(0.0, 0.5, gains, params) == 1.0
+    assert solve_nj(gains, params).regime is not SolutionRegime.NJ_INFEASIBLE
+    lanes = ChannelGains(1.0, np.array([0.0, 5e-324, 1.0]), 0.0)
+    assert neutralization_feasible(lanes, params).tolist() == [False, True, True]
+    assert jamming_sign(0.0, 0.5, lanes, params).tolist() == [-1.0, 1.0, 1.0]
 
 
 def test_solve_nj_zero_efficiency_degenerates_to_zero_value():
