@@ -25,6 +25,7 @@ __all__ = [
     "SystemParams",
     "capacity",
     "capacity_from_factors",
+    "check_range",
     "db_to_linear",
     "linear_to_db",
     "log1p_snr",
@@ -33,6 +34,19 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+
+
+def check_range(name, value, positive=False):
+    """Raise ValueError unless value, a float or an array, is finite and >= 0
+    (> 0 where positive): the one range rule for powers, gains and budgets,
+    which nan fails. Pass a field that must be a scalar through float()."""
+    if type(value) is float:  # np.float64 subclasses float: it takes numpy's path
+        ok = (value > 0.0 if positive else value >= 0.0) and value < math.inf
+    else:
+        v = np.asarray(value)
+        ok = ((v > 0.0 if positive else v >= 0.0) & (v < math.inf)).all()
+    if not ok:
+        raise ValueError(f"{name} must be {'positive' if positive else '>= 0'} and finite")
 
 
 def db_to_linear(x_db):
@@ -78,14 +92,7 @@ class ChannelGains:
 
     def __post_init__(self):
         for name in ("h2", "ga2", "gb2"):
-            v = getattr(self, name)
-            if type(v) is float:  # not np.float64, a float subclass
-                ok = 0.0 <= v < math.inf
-            else:
-                v = np.asarray(v)
-                ok = ((v >= 0.0) & (v < math.inf)).all()
-            if not ok:
-                raise ValueError(f"{name} must be finite and >= 0")
+            check_range(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -100,18 +107,10 @@ class SystemParams:
 
     def __post_init__(self):
         for name in ("n_a", "n_b", "p_max"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite")
-        if not (self.gamma_max >= 0.0 and math.isfinite(self.gamma_max)):
-            raise ValueError("gamma_max must be >= 0 and finite")
+            check_range(name, float(getattr(self, name)), positive=True)
+        check_range("gamma_max", float(self.gamma_max))
         if not 0.0 <= self.zeta <= 1.0:
             raise ValueError("zeta must lie in [0, 1]")
-
-
-def _check_nonneg(name, value):
-    if not (np.asarray(value) >= 0.0).all():
-        raise ValueError(f"{name} must be >= 0")
 
 
 def snr_scale(gamma):
@@ -176,8 +175,8 @@ def capacity(p, tau, gamma, gains: ChannelGains, params: SystemParams):
     accepted and yields 0 by continuity. This is the checked boundary: it
     validates p, tau and gamma, then runs capacity_from_factors.
     """
-    _check_nonneg("p", p)
-    _check_nonneg("gamma", gamma)
+    check_range("p", p)
+    check_range("gamma", gamma)
     if not (((t := np.asarray(tau)) >= 0.0) & (t <= 1.0)).all():
         raise ValueError("tau must lie in [0, 1]")
     out = capacity_from_factors(*snr_factors(p, gamma, gains, params),

@@ -36,6 +36,7 @@ from .model import (
     SystemParams,
     capacity,
     capacity_from_factors,
+    check_range,
     log1p_snr,
     snr_factors,
     snr_scale,
@@ -92,8 +93,7 @@ class LegitStrategy:
     tau: float
 
     def __post_init__(self):
-        if not (self.p >= 0.0 and math.isfinite(self.p)):
-            raise ValueError("p must be >= 0 and finite")
+        check_range("p", float(self.p))
         if not 0.0 <= self.tau < 1.0:
             raise ValueError("tau must lie in [0, 1)")
 
@@ -106,8 +106,7 @@ class StrategyProfile:
     gamma: float
 
     def __post_init__(self):
-        if not (self.gamma >= 0.0 and math.isfinite(self.gamma)):
-            raise ValueError("gamma must be >= 0 and finite")
+        check_range("gamma", float(self.gamma))
 
 
 @dataclass(frozen=True)
@@ -134,8 +133,11 @@ def _profile_factors(profile: FixedPower | OnThreshold, gains: ChannelGains,
 
 def _check_profile(profile: FixedPower | OnThreshold, gains: ChannelGains,
                    params: SystemParams):
-    """Raise unless capacity along the tau-profile is defined for these gains."""
+    """Raise unless capacity along the tau-profile is defined for these gains:
+    a FixedPower's p and gamma must pass check_range."""
     if isinstance(profile, FixedPower):
+        check_range("p", profile.p)
+        check_range("gamma", profile.gamma)
         return
     if not isinstance(profile, OnThreshold):
         raise TypeError(f"unknown tau-profile: {profile!r}")
@@ -315,11 +317,15 @@ def capacity_tau_derivative(profile: FixedPower | OnThreshold, tau, gains: Chann
 
 def tau_profile_capacity(profile: FixedPower | OnThreshold, tau, gains: ChannelGains,
                          params: SystemParams):
-    """Capacity along a tau-profile (accepts tau arrays)."""
+    """Capacity along a tau-profile (accepts tau arrays). The threshold
+    profile raises where its power tau*K leaves the float range."""
     _check_profile(profile, gains, params)
     if isinstance(profile, FixedPower):
         return capacity(profile.p, tau, profile.gamma, gains, params)
-    return capacity(p_threshold(tau, gains, params), tau, 0.0, gains, params)
+    p = p_threshold(tau, gains, params)
+    if not np.all(p < math.inf):  # K = inf where zeta*ga2*n_b/gb2 leaves the float range
+        raise ValueError("the threshold line p_threshold(tau) = tau*K overflows at these gains")
+    return capacity(p, tau, 0.0, gains, params)
 
 
 class SolutionRegime(Enum):
@@ -481,7 +487,7 @@ class ChannelBatch:
 
     def ne(self, p_max: float) -> NEArrays:
         """Full-power operating point: both budgets spent, tau optimal for them."""
-        _check_budget(p_max)
+        check_range("p_max", float(p_max), positive=True)
         full = self._full
         tau = full.tau(p_max)
         return NEArrays(tau, full.value(p_max, tau), self._sign(p_max, tau) <= 0.0)
@@ -489,7 +495,7 @@ class ChannelBatch:
     def no_eh(self, p_max: float):
         """capacity(p_max, 0, gamma_max), the no-harvesting baseline: the
         full-power profile's capacity at tau == 0, where nothing is harvested."""
-        _check_budget(p_max)
+        check_range("p_max", float(p_max), positive=True)
         return self._full.value(p_max, 0.0)
 
     def nj(self, p_max: float) -> NJArrays:
@@ -498,7 +504,7 @@ class ChannelBatch:
         neutralized are solved: where some cannot, the results are scattered
         into +0.0 (p, tau, value) and 0 (regime) arrays of the gains' broadcast
         shape, and where none can, nothing is solved."""
-        _check_budget(p_max)
+        check_range("p_max", float(p_max), positive=True)
         lanes, shape, args = self._neutralizable
         if lanes is None:
             return _neutralizing_optimum(p_max, *args)
@@ -508,12 +514,6 @@ class ChannelBatch:
             for full, part in zip(out, _neutralizing_optimum(p_max, *args)):
                 np.put(full, lanes, part)
         return out
-
-
-def _check_budget(p_max):
-    """Raise unless the transmit budget p_max is positive and finite."""
-    if not 0.0 < p_max < math.inf:
-        raise ValueError("p_max must be positive and finite")
 
 
 def _line(tau, k, floor):
@@ -582,8 +582,7 @@ def jamming_sign(p, tau, gains: ChannelGains, params: SystemParams):
     p_threshold - p when gb2 > 0 and of tau*zeta*ga2 when gb2 == 0. Links
     that cannot be neutralized read -1 throughout, flat cases included.
     """
-    if not (np.asarray(p) >= 0.0).all():
-        raise ValueError("p must be >= 0")
+    check_range("p", p)
     if not (((t := np.asarray(tau)) >= 0.0) & (t < 1.0)).all():
         raise ValueError("tau must lie in [0, 1)")
     return ChannelBatch(gains, params)._sign(p, tau)

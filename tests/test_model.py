@@ -9,6 +9,7 @@ from ehjam import (
     ChannelGains,
     FixedPower,
     LegitStrategy,
+    OnThreshold,
     StrategyProfile,
     SystemParams,
     TAU_LIMIT,
@@ -23,6 +24,7 @@ from ehjam import (
     p_threshold,
     snr_factors,
     snr_scale,
+    tau_profile_capacity,
 )
 from helpers import random_gains, reference_params
 
@@ -115,7 +117,7 @@ def test_channel_gains_reject_every_field_not_finite_and_nonnegative(bad):
         for wrap in (float, lambda v: np.array([1.0, v, 0.5])):
             values = [1.0, 1.0, 1.0]
             values[field] = wrap(bad)
-            with pytest.raises(ValueError, match="must be finite and >= 0"):
+            with pytest.raises(ValueError, match="must be >= 0 and finite"):
                 ChannelGains(*values)
     ChannelGains(-0.0, np.array([0.0, -0.0, 5e-324]), 1.7976931348623157e308)
 
@@ -137,7 +139,7 @@ def test_channel_gains_reject_numpy_scalars_and_ints_alike(bad):
     for field in range(3):
         values = [1.0, 1.0, 1.0]
         values[field] = bad
-        with pytest.raises(ValueError, match="must be finite and >= 0"):
+        with pytest.raises(ValueError, match="must be >= 0 and finite"):
             ChannelGains(*values)
 
 
@@ -260,6 +262,33 @@ def test_range_checks_reject_nan(call, message):
     # each check is written as the range it accepts, so nan falls outside it
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: capacity(1.0, 0.5, math.inf, _GAINS, reference_params()),
+     "gamma must be >= 0 and finite"),
+    (lambda: capacity(math.inf, 0.5, 1.0, _GAINS, reference_params()),
+     "p must be >= 0 and finite"),
+    (lambda: jamming_sign(math.inf, 0.5, _GAINS, reference_params()),
+     "p must be >= 0 and finite"),
+    (lambda: capacity_tau_derivative(FixedPower(-1.0, 0.0), 0.5, _GAINS, reference_params()),
+     "p must be >= 0 and finite"),
+    (lambda: capacity_tau_derivative(FixedPower(1.0, -5.0), 0.5, _GAINS, reference_params()),
+     "gamma must be >= 0 and finite"),
+    (lambda: tau_profile_capacity(FixedPower(1.0, math.inf), 0.5, _GAINS, reference_params()),
+     "gamma must be >= 0 and finite"),
+    # K = zeta*(ga2*n_b/gb2 - n_a) overflows, so the power tau*K that the
+    # threshold profile hands to capacity does too
+    (lambda: tau_profile_capacity(OnThreshold(), 0.5, ChannelGains(1.0, 1e300, 1e-10),
+                                  reference_params()), "threshold line p_threshold(tau)"),
+], ids=["capacity-gamma-inf", "capacity-p-inf", "jamming_sign-p-inf",
+        "capacity_tau_derivative-p", "capacity_tau_derivative-gamma",
+        "tau_profile_capacity-gamma-inf", "tau_profile_capacity-threshold-overflow"])
+def test_range_checks_reject_values_not_finite(call, message):
+    # the same ValueError in numpy's default and raise modes, with no warning
+    for mode in ({}, {"all": "raise"}):
+        with np.errstate(**mode), pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 def test_capacity_increasing_in_transmit_power():

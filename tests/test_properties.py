@@ -33,6 +33,7 @@ from ehjam import (
     sir_sweep,
     solve_ne,
     solve_nj,
+    tau_profile_capacity,
     transmit_budget,
 )
 from ehjam.experiments import _gain_block
@@ -548,6 +549,8 @@ def test_raise_mode_gives_the_default_modes_outputs(draws, zeta, gamma_max, p_ma
         lambda: jamming_sign(p_max, taus, batch_gains, params),
         lambda: capacity_tau_derivative(FixedPower(p_max, gamma_max), taus, batch_gains, params),
         lambda: capacity_tau_derivative(OnThreshold(), taus, batch_gains, params),
+        lambda: tau_profile_capacity(FixedPower(p_max, gamma_max), taus, batch_gains, params),
+        lambda: tau_profile_capacity(OnThreshold(), taus, batch_gains, params),
         lambda: [getattr(ChannelBatch(batch_gains, params), name)(p_max)
                  for name in ("ne", "nj", "no_eh")],
         lambda: sir_sweep(SweepConfig(-30.0, 10.0, 10.0, params,
@@ -562,6 +565,9 @@ def test_raise_mode_gives_the_default_modes_outputs(draws, zeta, gamma_max, p_ma
             lambda gains=gains: capacity_tau_derivative(FixedPower(p_max, gamma_max), tau,
                                                         gains, params),
             lambda gains=gains: capacity_tau_derivative(OnThreshold(), tau, gains, params),
+            lambda gains=gains: tau_profile_capacity(FixedPower(p_max, gamma_max), tau,
+                                                     gains, params),
+            lambda gains=gains: tau_profile_capacity(OnThreshold(), tau, gains, params),
             lambda gains=gains: solve_ne(gains, params),
             lambda gains=gains: solve_nj(gains, params),
         ]
